@@ -21,6 +21,7 @@
 #include "rl/q_agent.hpp"
 #include "tuner/genetic_tuner.hpp"
 #include "tuner/objective.hpp"
+#include "tuners/tuner.hpp"
 #include "workloads/sources.hpp"
 #include "workloads/workload.hpp"
 
@@ -159,7 +160,7 @@ static void BM_GaGeneration(benchmark::State& state) {
     ga.population = 8;
     ga.max_generations = 1;
     tuner::GeneticTuner tuner(space, *objective, ga);
-    auto result = tuner.run();
+    auto result = tuners::drive(tuner, *objective);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * 8);  // evaluations

@@ -16,6 +16,7 @@
 #include "core/roti.hpp"
 #include "core/tunio.hpp"
 #include "tuner/objective.hpp"
+#include "tuners/tuner.hpp"
 #include "workloads/workload.hpp"
 
 using namespace tunio;
@@ -70,8 +71,9 @@ int main() {
   tuner::GaOptions ga;
   ga.max_generations = 30;
   tuner::GeneticTuner tuner(space, *objective, ga);
-  tunio.attach(tuner);
-  const tuner::TuningResult result = tuner.run();
+  const tuners::DriveOptions options = tunio.attach(tuner);
+  const tuner::TuningResult result =
+      tuners::drive(tuner, *objective, options).tuning;
 
   std::printf("tuning finished after %u generations (%.1f simulated "
               "minutes)%s\n",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <sstream>
 #include <vector>
 
@@ -83,7 +84,11 @@ Configuration from_xml(const ConfigSpace& space, const std::string& xml) {
       const std::string text = trim(xml.substr(tag.end, close_open - tag.end));
       TUNIO_CHECK_MSG(space.has(tag.name), "unknown parameter tag: " + tag.name);
       const std::size_t param = space.index_of(tag.name);
-      const std::uint64_t value = std::stoull(text);
+      std::uint64_t value = 0;
+      const auto [end, error] =
+          std::from_chars(text.data(), text.data() + text.size(), value);
+      TUNIO_CHECK_MSG(error == std::errc() && end == text.data() + text.size(),
+                      "bad value for " + tag.name + ": " + text);
       const auto& domain = space.parameter(param).domain;
       const auto it = std::find(domain.begin(), domain.end(), value);
       TUNIO_CHECK_MSG(it != domain.end(),

@@ -46,40 +46,7 @@ PipelineRun run_pipeline(const cfg::ConfigSpace& space,
   run.label = variant.label;
   run.backend = variant.backend;
 
-  if (variant.backend == "ga") {
-    // The historical pipeline: `GeneticTuner::run` drives itself. Kept
-    // as its own code path so existing variants stay bit-identical.
-    tuner::GeneticTuner tuner(space, eval_objective, ga);
-
-    if (variant.impact_first) {
-      tunio->smart_config().reset_episode();
-      tuner.set_subset_provider(
-          [tunio, &space](unsigned generation,
-                          const tuner::TuningResult& progress) {
-            if (generation == 0 || progress.history.empty()) {
-              std::vector<std::size_t> all(space.num_parameters());
-              for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-              return all;
-            }
-            const tuner::GenerationStats& last = progress.history.back();
-            return tunio->smart_config().subset_picker(last.best_perf,
-                                                       last.subset);
-          });
-    }
-
-    tuner.set_stopper(make_stopper(variant, tunio));
-    run.result = tuner.run();
-    return run;
-  }
-
-  // Alternative backends route through the registry and the shared
-  // driver; the stopper plugs into the driver instead of the GA.
-  tuners::TunerSpec spec;
-  spec.seed = ga.seed;
-  spec.batch = ga.population;
-  spec.max_iterations = ga.max_generations;
-  spec.seed_indices = ga.seed_indices;
-  spec.ga = ga;
+  tuners::TunerSpec spec = tuners::spec_from_ga(ga);
   spec.hints = variant.hints;
   if (variant.impact_first && tunio != nullptr) {
     spec.impact = tunio->smart_config().impact_scores();
@@ -87,7 +54,13 @@ PipelineRun run_pipeline(const cfg::ConfigSpace& space,
   const std::unique_ptr<tuners::Tuner> backend =
       tuners::make_tuner(variant.backend, space, eval_objective, spec);
 
+  // Impact-first subsets are a GA hook; the other backends take the
+  // impact scores through `spec.impact` instead.
   tuners::DriveOptions drive_options;
+  auto* ga_backend = dynamic_cast<tuner::GeneticTuner*>(backend.get());
+  if (variant.impact_first && ga_backend != nullptr) {
+    drive_options = tunio->attach(*ga_backend);
+  }
   drive_options.stopper = make_stopper(variant, tunio);
   run.result = tuners::drive(*backend, eval_objective, drive_options).tuning;
   return run;

@@ -36,11 +36,10 @@ struct PipelineVariant {
   bool impact_first = false;   ///< attach Smart Configuration Generation
   StopPolicy stop = StopPolicy::kNone;
   double max_perf_target = 0.0;  ///< for kMaxPerf
-  /// Search backend (see tuners::backend_names). "ga" is the historical
-  /// genetic pipeline and keeps its exact code path; other names are
-  /// routed through the tuners registry and driver. Impact-first subset
-  /// selection is a GA hook; for the "rule" backend the impact scores
-  /// are fed in as sweep priorities instead.
+  /// Search backend (see tuners::backend_names), built by the tuners
+  /// registry and run by `tuners::drive()`. Impact-first subset
+  /// selection is a GA hook (wired by `TunIO::attach`); for the "rule"
+  /// backend the impact scores are fed in as sweep priorities instead.
   std::string backend = "ga";
   /// Knowledge inputs forwarded to the "rule" backend (parameter name,
   /// weight) — e.g. `analysis::LintReport::tuning_hints()`.

@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "tuner/genetic_tuner.hpp"
+#include "tuner/objective.hpp"
 
 namespace tunio::core {
 

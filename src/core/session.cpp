@@ -30,9 +30,9 @@ tuner::TuningResult InteractiveSession::step(unsigned generations) {
       binding_.enabled() ? static_cast<tuner::Objective&>(service_objective)
                          : objective_;
   tuner::GeneticTuner tuner(tunio_.space(), eval_objective, ga);
-  tunio_.attach(tuner);
-
-  const tuner::TuningResult result = tuner.run();
+  const tuners::DriveOptions options = tunio_.attach(tuner);
+  const tuner::TuningResult result =
+      tuners::drive(tuner, eval_objective, options).tuning;
   if (!have_initial_) {
     initial_perf_ = result.initial_perf;
     have_initial_ = true;

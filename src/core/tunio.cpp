@@ -32,10 +32,10 @@ void TunIO::train_offline(
   early_stopping_.train_offline();
 }
 
-void TunIO::attach(tuner::GeneticTuner& tuner) {
+tuners::DriveOptions TunIO::attach(tuner::GeneticTuner& ga) {
   smart_config_.reset_episode();
   early_stopping_.reset_episode();
-  tuner.set_subset_provider(
+  ga.set_subset_provider(
       [this](unsigned generation, const tuner::TuningResult& progress) {
         // First generation: no feedback yet — tune everything once so the
         // default/random population is scored on the full space.
@@ -47,10 +47,12 @@ void TunIO::attach(tuner::GeneticTuner& tuner) {
         const tuner::GenerationStats& last = progress.history.back();
         return smart_config_.subset_picker(last.best_perf, last.subset);
       });
-  tuner.set_stopper(
-      [this](unsigned generation, const tuner::TuningResult& progress) {
-        return early_stopping_.stop(generation, progress.best_perf);
-      });
+  tuners::DriveOptions options;
+  options.stopper = [this](unsigned generation,
+                           const tuner::TuningResult& progress) {
+    return early_stopping_.stop(generation, progress.best_perf);
+  };
+  return options;
 }
 
 }  // namespace tunio::core

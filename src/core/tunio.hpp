@@ -9,8 +9,9 @@
 // "TunIO separates its components and provides an interface so that they
 // can be used by other tuning pipelines" (§III-E). The `TunIO` class
 // bundles the three components behind exactly that interface and also
-// offers `attach`, which wires them into a GeneticTuner the way the
-// paper's reference implementation plugs into DEAP/HSTuner.
+// offers `attach`, which wires them into a GA search run by
+// `tuners::drive()` the way the paper's reference implementation plugs
+// into DEAP/HSTuner.
 #pragma once
 
 #include <memory>
@@ -68,9 +69,11 @@ class TunIO {
   /// representative I/O kernels (VPIC, FLASH, HACC in the paper).
   void train_offline(const std::vector<tuner::Objective*>& sweep_kernels);
 
-  /// Wires Smart Configuration Generation and Early Stopping into a
-  /// genetic tuner (resets per-run agent state first).
-  void attach(tuner::GeneticTuner& tuner);
+  /// Wires Smart Configuration Generation into the GA backend `ga` (all
+  /// parameters in generation 0, then `subset_picker`) and returns drive
+  /// options whose stopper is Early Stopping. Resets per-run agent state
+  /// first. Run the search with `tuners::drive(ga, objective, options)`.
+  tuners::DriveOptions attach(tuner::GeneticTuner& ga);
 
   SmartConfigGen& smart_config() { return smart_config_; }
   EarlyStopping& early_stopping() { return early_stopping_; }

@@ -1,13 +1,11 @@
 // A small owned JSON document model: parse, build, serialize.
 //
-// The observability layer speaks JSON on every wire — metric snapshots,
-// Chrome-trace files, bench reports, cached results, CI baselines — and
-// each producer used to hand-roll its own emitter while consumers had no
-// parser at all (the result cache's reader only accepts its own output).
-// `Json` is the shared value tree: a strict recursive-descent parser for
-// arbitrary JSON documents plus an ordered-object builder/serializer, so
-// tools (the perf gate) and tests (trace well-formedness) can read what
-// the stack writes.
+// The stack speaks JSON on every wire — metric snapshots, Chrome-trace
+// files, bench reports, cached results, CI baselines. `Json` is the
+// shared value tree: a strict recursive-descent parser for arbitrary
+// JSON documents plus an ordered-object builder/serializer, so tools
+// (the perf gate), the result cache and tests (trace well-formedness)
+// read and write those documents with one implementation.
 #pragma once
 
 #include <cstdint>

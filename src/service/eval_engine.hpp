@@ -1,9 +1,9 @@
 // The parallel evaluation engine: a fixed-size worker pool that scores a
 // batch of configurations concurrently.
 //
-// Serial evaluation is the scalability ceiling of the genetic pipeline —
+// Serial evaluation is the scalability ceiling of the genetic pipeline:
 // every generation is an embarrassingly parallel batch of independent
-// testbed runs, yet `GeneticTuner` historically walked them one by one.
+// testbed runs, which `Objective::evaluate_batch` walks one by one.
 // The engine lifts that: each worker provisions its own simulated
 // testbed (objectives create a fresh MpiSim/PfsSimulator per run) and
 // every evaluation draws noise from a per-genome RNG stream

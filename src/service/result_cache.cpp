@@ -1,13 +1,14 @@
 #include "service/result_cache.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace tunio::service {
@@ -140,139 +141,88 @@ void ResultCache::clear() {
 
 namespace {
 
-/// Shortest round-trip rendering of a double.
-std::string render_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+/// A cache entry as `load_json` reads it, validated before any insert.
+struct Entry {
+  std::uint64_t fingerprint = 0;
+  std::vector<std::size_t> genome;
+  tuner::Evaluation eval;
+};
+
+const obs::Json& field(const obs::Json& entry, const std::string& key) {
+  const obs::Json* value = entry.find(key);
+  TUNIO_CHECK_MSG(value != nullptr, "cache JSON: missing \"" + key + "\"");
+  return *value;
 }
 
-/// Minimal recursive-descent reader for the documents `to_json` emits
-/// (whitespace-tolerant, field order fixed). Not a general JSON parser —
-/// the cache owns both ends of the wire.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
+/// Fingerprints are full 64-bit values, which a JSON number (a double)
+/// cannot carry, so they travel as decimal strings.
+std::uint64_t parse_fingerprint(const obs::Json& value) {
+  const std::string& text = value.as_string();
+  std::uint64_t out = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  TUNIO_CHECK_MSG(error == std::errc() && end == text.data() + text.size(),
+                  "cache JSON: bad fingerprint \"" + text + "\"");
+  return out;
+}
 
-  void expect(char c) {
-    skip_ws();
-    TUNIO_CHECK_MSG(pos_ < text_.size() && text_[pos_] == c,
-                    std::string("cache JSON: expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect_key(const std::string& name) {
-    expect('"');
-    TUNIO_CHECK_MSG(text_.compare(pos_, name.size(), name) == 0,
-                    "cache JSON: expected key \"" + name + "\"");
-    pos_ += name.size();
-    expect('"');
-    expect(':');
-  }
-
-  double number() {
-    skip_ws();
-    std::size_t end = pos_;
-    while (end < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-            text_[end] == '-' || text_[end] == '+' || text_[end] == '.' ||
-            text_[end] == 'e' || text_[end] == 'E')) {
-      ++end;
-    }
-    TUNIO_CHECK_MSG(end > pos_, "cache JSON: expected a number");
-    const double value = std::stod(text_.substr(pos_, end - pos_));
-    pos_ = end;
-    return value;
-  }
-
-  std::uint64_t unsigned_number() {
-    return static_cast<std::uint64_t>(number());
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+std::size_t parse_index(const obs::Json& value) {
+  const double number = value.as_number();
+  // Below 2^53 every integer is exact in a double.
+  TUNIO_CHECK_MSG(number >= 0.0 && number < 9007199254740992.0 &&
+                      number == std::floor(number),
+                  "cache JSON: bad genome index " + obs::json_number(number));
+  return static_cast<std::size_t>(number);
+}
 
 }  // namespace
 
 std::string ResultCache::to_json() const {
-  std::ostringstream out;
-  out << "{\"entries\":[";
-  bool first = true;
+  obs::Json entries = obs::Json::array();
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     // Oldest first, so replaying the document into a fresh cache leaves
     // the most recently used entries freshest.
     for (auto it = shard->lru.rbegin(); it != shard->lru.rend(); ++it) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"fingerprint\":" << it->first.fingerprint << ",\"genome\":[";
-      for (std::size_t g = 0; g < it->first.genome.size(); ++g) {
-        if (g > 0) out << ",";
-        out << it->first.genome[g];
+      obs::Json genome = obs::Json::array();
+      for (const std::size_t index : it->first.genome) {
+        genome.push_back(obs::Json::number(static_cast<double>(index)));
       }
-      out << "],\"perf_mbps\":" << render_double(it->second.perf_mbps)
-          << ",\"eval_seconds\":" << render_double(it->second.eval_seconds)
-          << "}";
+      obs::Json entry = obs::Json::object();
+      entry.set("fingerprint",
+                obs::Json::string(std::to_string(it->first.fingerprint)));
+      entry.set("genome", std::move(genome));
+      entry.set("perf_mbps", obs::Json::number(it->second.perf_mbps));
+      entry.set("eval_seconds", obs::Json::number(it->second.eval_seconds));
+      entries.push_back(std::move(entry));
     }
   }
-  out << "]}";
-  return out.str();
+  obs::Json doc = obs::Json::object();
+  doc.set("entries", std::move(entries));
+  return doc.dump();
 }
 
 std::size_t ResultCache::load_json(const std::string& json) {
-  JsonReader reader(json);
-  reader.expect('{');
-  reader.expect_key("entries");
-  reader.expect('[');
-  std::size_t loaded = 0;
-  if (!reader.consume(']')) {
-    do {
-      reader.expect('{');
-      reader.expect_key("fingerprint");
-      const std::uint64_t fingerprint = reader.unsigned_number();
-      reader.expect(',');
-      reader.expect_key("genome");
-      reader.expect('[');
-      std::vector<std::size_t> genome;
-      if (!reader.consume(']')) {
-        do {
-          genome.push_back(static_cast<std::size_t>(reader.unsigned_number()));
-        } while (reader.consume(','));
-        reader.expect(']');
-      }
-      reader.expect(',');
-      reader.expect_key("perf_mbps");
-      tuner::Evaluation eval;
-      eval.perf_mbps = reader.number();
-      reader.expect(',');
-      reader.expect_key("eval_seconds");
-      eval.eval_seconds = reader.number();
-      reader.expect('}');
-      put(fingerprint, genome, eval);
-      ++loaded;
-    } while (reader.consume(','));
-    reader.expect(']');
+  // Parse and validate the whole document first: a malformed one loads
+  // nothing.
+  const obs::Json doc = obs::Json::parse(json);
+  std::vector<Entry> entries;
+  for (const obs::Json& item : field(doc, "entries").items()) {
+    Entry entry;
+    entry.fingerprint = parse_fingerprint(field(item, "fingerprint"));
+    for (const obs::Json& index : field(item, "genome").items()) {
+      entry.genome.push_back(parse_index(index));
+    }
+    // `Json::parse` rejects numbers a double cannot hold, so both are
+    // finite.
+    entry.eval.perf_mbps = field(item, "perf_mbps").as_number();
+    entry.eval.eval_seconds = field(item, "eval_seconds").as_number();
+    entries.push_back(std::move(entry));
   }
-  reader.expect('}');
-  return loaded;
+  for (const Entry& entry : entries) {
+    put(entry.fingerprint, entry.genome, entry.eval);
+  }
+  return entries.size();
 }
 
 bool ResultCache::save_file(const std::string& path) const {

@@ -68,7 +68,8 @@ class ResultCache {
   /// Serializes every entry to a JSON document.
   std::string to_json() const;
   /// Merges entries from a `to_json` document; returns how many loaded.
-  /// Throws `Error` on malformed input.
+  /// Throws `Error` on malformed input (a negative or non-integer genome
+  /// index or fingerprint, a non-finite perf or cost), loading nothing.
   std::size_t load_json(const std::string& json);
   /// File convenience wrappers; return false on I/O failure.
   bool save_file(const std::string& path) const;

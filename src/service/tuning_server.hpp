@@ -2,12 +2,12 @@
 // and result cache.
 //
 // A server owns one `EvalEngine` and one `ResultCache` and runs up to
-// `max_concurrent_jobs` genetic-tuning jobs at a time over them (queued
-// jobs start as slots free up). Clients `submit` a job — workload
-// objective, budget, GA options — then poll `progress`, `cancel`, or
-// block in `wait`. Cancellation is cooperative and takes effect at the
-// next generation boundary, so a cancelled job still carries a valid
-// partial `TuningResult`; resubmitting with
+// `max_concurrent_jobs` tuning jobs at a time over them (queued jobs
+// start as slots free up), each searched by `tuners::drive()`. Clients
+// `submit` a job — workload objective, backend, GA options — then poll
+// `progress`, `cancel`, or block in `wait`. Cancellation is cooperative
+// and takes effect at the next generation boundary, so a cancelled job
+// still carries a valid partial `TuningResult`; resubmitting with
 // `GaOptions::seed_indices = progress.best_indices` resumes the session
 // from where it stopped (the shared cache makes the replayed elite
 // evaluations free).
@@ -54,9 +54,8 @@ struct JobSpec {
   /// Cache namespace (workload + testbed identity). 0 derives one from
   /// `name`, which keeps distinct-named jobs from cross-hitting.
   std::uint64_t fingerprint = 0;
-  /// Search backend (see tuners::backend_names). "ga" runs the
-  /// historical genetic pipeline; other names route through the tuners
-  /// registry and driver. Progress beacons, cancellation, caching and
+  /// Search backend (see tuners::backend_names), run by
+  /// `tuners::drive()`. Progress beacons, cancellation, caching and
   /// budget accounting work identically for every backend.
   std::string backend = "ga";
   tuner::GaOptions ga;

@@ -34,25 +34,18 @@ struct TunerMetrics {
 
 }  // namespace
 
-GeneticTuner::GeneticTuner(const cfg::ConfigSpace& space, Objective& objective,
-                           GaOptions options)
-    : space_(space),
-      objective_(objective),
-      options_(options),
-      rng_(options.seed) {
+GeneticTuner::GeneticTuner(const cfg::ConfigSpace& space,
+                           Objective& /*objective*/, GaOptions options)
+    : space_(space), options_(options), rng_(options.seed) {
   TUNIO_CHECK_MSG(options_.population >= 4, "population too small");
   TUNIO_CHECK_MSG(options_.tournament_size >= 2, "tournament too small");
   TUNIO_CHECK_MSG(options_.elitism < options_.population,
                   "elitism must leave room for offspring");
-  exhausted_ = options_.max_generations == 0;
+  done_ = options_.max_generations == 0;
 }
 
 void GeneticTuner::set_subset_provider(SubsetProvider provider) {
   subset_provider_ = std::move(provider);
-}
-
-void GeneticTuner::set_stopper(Stopper stopper) {
-  stopper_ = std::move(stopper);
 }
 
 cfg::Configuration GeneticTuner::to_config(const Genome& genome) const {
@@ -154,9 +147,9 @@ void GeneticTuner::breed() {
   scores_.assign(population_.size(), 0.0);
 }
 
-std::vector<cfg::Configuration> GeneticTuner::begin_iteration() {
-  TUNIO_CHECK_MSG(!pending_, "begin_iteration before observing the last one");
-  TUNIO_CHECK_MSG(!exhausted_, "tuner already ran its full budget");
+std::vector<cfg::Configuration> GeneticTuner::propose() {
+  TUNIO_CHECK_MSG(!pending_, "propose before observing the last generation");
+  TUNIO_CHECK_MSG(!done_, "tuner already ran its full budget");
 
   if (!initialized_) {
     // Initial population: the stack defaults (or the caller's seed
@@ -178,8 +171,7 @@ std::vector<cfg::Configuration> GeneticTuner::begin_iteration() {
   } else {
     // Breed the next generation from the observed one. The mask is the
     // subset active when those scores were produced (`last_subset_`);
-    // the provider below picks the subset for the *following* breeding,
-    // exactly the call order of the historical single-loop `run()`.
+    // the provider below picks the subset for the *following* breeding.
     breed();
   }
 
@@ -215,8 +207,8 @@ std::vector<cfg::Configuration> GeneticTuner::begin_iteration() {
   return batch;
 }
 
-double GeneticTuner::observe_iteration(const std::vector<Evaluation>& fresh) {
-  TUNIO_CHECK_MSG(pending_, "observe_iteration without a begin_iteration");
+void GeneticTuner::observe(const std::vector<Evaluation>& fresh) {
+  TUNIO_CHECK_MSG(pending_, "observe without a propose");
   TUNIO_CHECK_MSG(fresh.size() == batch_slot_.size(),
                   "evaluate_batch returned wrong arity");
   pending_ = false;
@@ -289,28 +281,13 @@ double GeneticTuner::observe_iteration(const std::vector<Evaluation>& fresh) {
 
   last_subset_ = subset_;
   ++generation_;
-  if (generation_ >= options_.max_generations) exhausted_ = true;
-  return billed_seconds;
+  if (generation_ >= options_.max_generations) done_ = true;
 }
 
-void GeneticTuner::mark_early_stopped() {
+void GeneticTuner::finish(bool early_stopped) {
+  if (!early_stopped) return;
   result_.early_stopped = true;
-  exhausted_ = true;
-}
-
-TuningResult GeneticTuner::run() {
-  while (!exhausted_) {
-    const std::vector<cfg::Configuration> batch = begin_iteration();
-    const std::vector<Evaluation> fresh = objective_.evaluate_batch(batch);
-    observe_iteration(fresh);
-
-    // Early stopping hook.
-    if (stopper_ && stopper_(generation_ - 1, result_)) {
-      mark_early_stopped();
-      break;
-    }
-  }
-  return result_;
+  done_ = true;
 }
 
 }  // namespace tunio::tuner

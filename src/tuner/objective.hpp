@@ -21,8 +21,11 @@
 // interpreter or workload driver entirely. See src/replay.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "config/space.hpp"
 #include "config/stack_settings.hpp"
@@ -39,6 +42,31 @@ struct Evaluation {
   SimSeconds eval_seconds = 0.0; ///< tuning-budget cost of this evaluation
   trace::PerfResult detail;      ///< last run's full metering
 };
+
+/// Everything known after iteration (GA generation) `generation` of a
+/// search finished.
+struct GenerationStats {
+  unsigned generation = 0;
+  double generation_best_perf = 0.0;  ///< best individual this generation
+  double best_perf = 0.0;             ///< best seen so far (elitism)
+  double cumulative_seconds = 0.0;    ///< tuning budget spent so far
+  std::vector<std::size_t> subset;    ///< tuned parameter subset (empty=all)
+};
+
+/// What a search has produced so far; every backend reports one.
+struct TuningResult {
+  double initial_perf = 0.0;  ///< default configuration's perf
+  std::vector<GenerationStats> history;
+  std::optional<cfg::Configuration> best_config;
+  double best_perf = 0.0;
+  double total_seconds = 0.0;
+  unsigned generations_run = 0;
+  bool early_stopped = false;
+};
+
+/// Returns true to terminate tuning after this iteration.
+using Stopper =
+    std::function<bool(unsigned generation, const TuningResult& progress)>;
 
 /// Controls the record/replay evaluation fast path.
 enum class ReplayMode {

@@ -33,7 +33,7 @@ DriveResult drive(Tuner& tuner, tuner::Objective& objective,
     proposals.add(batch.size());
     out.fresh_evaluations += batch.size();
     // Evaluated even when empty: a cache-satisfied GA generation still
-    // issues its (empty) batch, matching `GeneticTuner::run` exactly.
+    // issues its (empty) batch.
     const std::vector<tuner::Evaluation> evals =
         objective.evaluate_batch(batch);
     tuner.observe(evals);

@@ -1,41 +1,15 @@
-// GeneticTuner behind the `Tuner` interface.
+// The "ga" backend under its registry-facing name.
 //
-// The adapter forwards `propose`/`observe` to the stepping API the GA
-// core exposes (`begin_iteration`/`observe_iteration`) — the same calls
-// `GeneticTuner::run` itself makes, in the same order — so a driven
-// adapter reproduces a `run()` bit-identically: identical RNG draw
-// sequence, identical evaluate_batch batches, identical history.
-// Regression-tested in tests/tuners_test.cpp and gated by the tournament
-// baseline in CI.
+// `tuner::GeneticTuner` implements `Tuner` itself, so the GA needs no
+// adapter: this alias is the name the backend goes by in `tuners`, with
+// the GA's `(space, objective, GaOptions)` constructor and its
+// `set_subset_provider` hook.
 #pragma once
 
-#include <memory>
-#include <string>
-
 #include "tuner/genetic_tuner.hpp"
-#include "tuners/tuner.hpp"
 
 namespace tunio::tuners {
 
-class GaTunerAdapter final : public Tuner {
- public:
-  /// Same signature as the GA itself; `objective` is what the driver
-  /// evaluates against (the GA core never calls it in stepping mode).
-  GaTunerAdapter(const cfg::ConfigSpace& space, tuner::Objective& objective,
-                 tuner::GaOptions options = {});
-
-  /// Smart Configuration Generation passthrough (GA-specific hook).
-  void set_subset_provider(tuner::SubsetProvider provider);
-
-  std::string name() const override { return "ga"; }
-  std::vector<cfg::Configuration> propose() override;
-  void observe(const std::vector<tuner::Evaluation>& evals) override;
-  const tuner::TuningResult& progress() const override;
-  bool done() const override;
-  void finish(bool early_stopped) override;
-
- private:
-  tuner::GeneticTuner ga_;
-};
+using GaTunerAdapter = tuner::GeneticTuner;
 
 }  // namespace tunio::tuners

@@ -10,6 +10,16 @@
 
 namespace tunio::tuners {
 
+TunerSpec spec_from_ga(const tuner::GaOptions& ga) {
+  TunerSpec spec;
+  spec.seed = ga.seed;
+  spec.batch = ga.population;
+  spec.max_iterations = ga.max_generations;
+  spec.seed_indices = ga.seed_indices;
+  spec.ga = ga;
+  return spec;
+}
+
 const std::vector<std::string>& backend_names() {
   static const std::vector<std::string> kNames = {"ga", "bo", "rule",
                                                   "random"};

@@ -37,15 +37,19 @@ struct TunerSpec {
   std::vector<double> impact;
 };
 
+/// A spec whose shared knobs come from GA options: the GA's seed,
+/// population as batch width, generation horizon and starting
+/// configuration, so every backend searches under the same settings.
+TunerSpec spec_from_ga(const tuner::GaOptions& ga);
+
 /// Names accepted by `make_tuner`, in tournament order.
 const std::vector<std::string>& backend_names();
 
 bool is_backend(const std::string& name);
 
-/// Builds backend `name` over `space`. `objective` is only captured by
-/// the GA (its fitness cache lives inside `GeneticTuner`); the other
-/// backends touch the objective exclusively through `drive()`. Throws
-/// `common::Error` on an unknown name.
+/// Builds backend `name` over `space`. No backend calls `objective`:
+/// they reach it only through `drive()`. Throws `common::Error` on an
+/// unknown name.
 std::unique_ptr<Tuner> make_tuner(const std::string& name,
                                   const cfg::ConfigSpace& space,
                                   tuner::Objective& objective,

@@ -1,9 +1,7 @@
 // The pluggable tuner-backend interface.
 //
-// TunIO's search loop was historically welded to one strategy — the
-// genetic pipeline of `src/tuner` — which made the paper's "few
-// evaluations to a near-best config" claim untestable against
-// alternatives. This subsystem splits the loop into two halves:
+// Every search in TunIO — the genetic pipeline of `src/tuner` included —
+// runs through one loop, split into two halves:
 //
 //   * a `Tuner` proposes batches of configurations and absorbs their
 //     evaluations — pure search strategy, no objective access;
@@ -13,8 +11,8 @@
 //     unchanged with the parallel evaluation engine, the shared result
 //     cache, the record/replay fast path and the RL early stopper.
 //
-// Backends are registered by name (see registry.hpp): "ga" adapts the
-// original GeneticTuner (bit-identical to `GeneticTuner::run`), "bo" is
+// Backends are registered by name (see registry.hpp): "ga" is the
+// `GeneticTuner` itself, whose hooks TunIO's components plug into, "bo" is
 // an asynchronous batched Bayesian optimizer, "rule" a deterministic
 // knowledge-driven searcher seeded from linter hints and impact
 // rankings, "random" the random-search control. `bench/tuner_tournament`
@@ -26,7 +24,6 @@
 #include <vector>
 
 #include "config/space.hpp"
-#include "tuner/genetic_tuner.hpp"
 #include "tuner/objective.hpp"
 
 namespace tunio::tuners {
@@ -71,9 +68,8 @@ struct DriveOptions {
   double budget_seconds = 0.0;
   /// Hard iteration cap on top of the backend's own horizon. 0 = none.
   unsigned max_iterations = 0;
-  /// Consulted after every iteration with the backend's progress — the
-  /// same contract as `GeneticTuner`'s stopper, so the RL early stopper
-  /// and the heuristic baselines plug in unchanged.
+  /// Consulted after every iteration with the backend's progress; the RL
+  /// early stopper and the heuristic baselines plug in here.
   tuner::Stopper stopper;
 };
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -114,6 +115,20 @@ TEST(Xml, RejectsMalformedInput) {
                "<striping_factor>7</striping_factor>"
                "</Parallel_File_System></Parameters>"),
       Error);
+}
+
+TEST(Xml, RejectsValuesThatAreNotWholeUnsignedNumbers) {
+  const ConfigSpace space = ConfigSpace::tunio12();
+  auto document = [](const std::string& value) {
+    return "<Parameters><Parallel_File_System><striping_factor>" + value +
+           "</striping_factor></Parallel_File_System></Parameters>";
+  };
+  EXPECT_EQ(from_xml(space, document(" 8 ")).value("striping_factor"), 8u);
+  for (const std::string bad :
+       {"abc", "99999999999999999999999", "1abc", "-1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(from_xml(space, document(bad)), Error);
+  }
 }
 
 /// Property: XML round-trip is the identity for random configurations.

@@ -13,6 +13,7 @@
 #include "core/session.hpp"
 #include "core/tunio.hpp"
 #include "tuner/objective.hpp"
+#include "tuners/tuner.hpp"
 #include "workloads/workload.hpp"
 
 namespace tunio::core {
@@ -301,8 +302,9 @@ TEST(TunIO, AttachWiresHooksIntoTuner) {
   ga.max_generations = 6;
   ga.population = 8;
   tuner::GeneticTuner tuning(space, *objective, ga);
-  tunio.attach(tuning);
-  const tuner::TuningResult result = tuning.run();
+  const tuners::DriveOptions options = tunio.attach(tuning);
+  const tuner::TuningResult result =
+      tuners::drive(tuning, *objective, options).tuning;
   EXPECT_GE(result.generations_run, 1u);
   // Generation 0 tunes the full space; later generations use subsets.
   EXPECT_EQ(result.history.front().subset.size(), space.num_parameters());

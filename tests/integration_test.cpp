@@ -10,6 +10,7 @@
 #include "interp/interp.hpp"
 #include "minic/parser.hpp"
 #include "tuner/objective.hpp"
+#include "tuners/tuner.hpp"
 #include "workloads/sources.hpp"
 #include "workloads/workload.hpp"
 
@@ -36,7 +37,8 @@ TEST(Integration, DiscoverThenTuneKernelTransfersToFullApp) {
   ga.max_generations = 8;
   ga.population = 8;
   tuner::GeneticTuner tuner_run(space, *kernel_objective, ga);
-  const tuner::TuningResult tuned = tuner_run.run();
+  const tuner::TuningResult tuned =
+      tuners::drive(tuner_run, *kernel_objective).tuning;
   ASSERT_TRUE(tuned.best_config.has_value());
 
   // 3. The kernel-tuned configuration speeds up the *full* application.

@@ -14,6 +14,7 @@
 #include "service/tuning_server.hpp"
 #include "tuner/genetic_tuner.hpp"
 #include "tuner/objective.hpp"
+#include "tuners/tuner.hpp"
 #include "workloads/workload.hpp"
 
 namespace tunio::service {
@@ -176,7 +177,8 @@ TEST(Determinism, PoolSizeDoesNotChangeTuningResult) {
 
   auto baseline_objective = hacc_objective();
   GeneticTuner baseline(space, *baseline_objective, ga);
-  const TuningResult expected = baseline.run();
+  const TuningResult expected =
+      tuners::drive(baseline, *baseline_objective).tuning;
 
   for (unsigned workers : {1u, 4u, 8u}) {
     EvalEngine engine(EngineOptions{workers});
@@ -185,7 +187,7 @@ TEST(Determinism, PoolSizeDoesNotChangeTuningResult) {
     ServiceObjective service(*objective,
                              EvalBinding{&engine, &cache, /*fingerprint=*/7});
     GeneticTuner tuner(space, service, ga);
-    const TuningResult result = tuner.run();
+    const TuningResult result = tuners::drive(tuner, service).tuning;
     SCOPED_TRACE("workers=" + std::to_string(workers));
     expect_identical(result, expected);
   }
@@ -259,6 +261,54 @@ TEST(ResultCache, JsonRoundTrip) {
   EXPECT_THROW(from_empty.load_json("{\"entries\":"), Error);
 }
 
+TEST(ResultCache, JsonKeepsFullWidthFingerprints) {
+  // 2^63 + 1 is not a double: a fingerprint stored as a JSON number
+  // would reload as 2^63 and answer for the wrong workload.
+  const std::uint64_t fingerprint = (1ull << 63) + 1;
+  ResultCache cache;
+  Evaluation eval;
+  eval.perf_mbps = 1.0;
+  cache.put(fingerprint, {1}, eval);
+
+  ResultCache copy;
+  ASSERT_EQ(copy.load_json(cache.to_json()), 1u);
+  EXPECT_TRUE(copy.get(fingerprint, {1}).has_value());
+  EXPECT_FALSE(copy.get(1ull << 63, {1}).has_value());
+}
+
+TEST(ResultCache, TruncatedJsonLoadsNothing) {
+  ResultCache cache;
+  Evaluation eval;
+  eval.perf_mbps = 2.0;
+  cache.put(1, {1}, eval);
+  cache.put(1, {2}, eval);
+  const std::string json = cache.to_json();
+
+  ResultCache copy;
+  EXPECT_THROW(copy.load_json(json.substr(0, json.size() - 2)), Error);
+  EXPECT_EQ(copy.size(), 0u);
+}
+
+TEST(ResultCache, JsonRejectsNegativeNonIntegerAndNonFiniteValues) {
+  auto entry = [](const std::string& fingerprint, const std::string& index,
+                  const std::string& perf) {
+    return "{\"entries\":[{\"fingerprint\":" + fingerprint +
+           ",\"genome\":[" + index + "],\"perf_mbps\":" + perf +
+           ",\"eval_seconds\":1}]}";
+  };
+  ResultCache cache;
+  EXPECT_EQ(cache.load_json(entry("\"3\"", "2", "1.5")), 1u);
+  EXPECT_THROW(cache.load_json(entry("\"-1\"", "2", "1.5")), Error);
+  EXPECT_THROW(cache.load_json(entry("\"1.5\"", "2", "1.5")), Error);
+  EXPECT_THROW(cache.load_json(entry("\"3x\"", "2", "1.5")), Error);
+  EXPECT_THROW(cache.load_json(entry("3", "2", "1.5")), Error);
+  EXPECT_THROW(cache.load_json(entry("\"3\"", "-2", "1.5")), Error);
+  EXPECT_THROW(cache.load_json(entry("\"3\"", "2.5", "1.5")), Error);
+  EXPECT_THROW(cache.load_json(entry("\"3\"", "2", "1e400")), Error);
+  EXPECT_THROW(cache.load_json(entry("\"3\"", "2", "null")), Error);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST(ResultCache, FilePersistence) {
   const std::string path = ::testing::TempDir() + "tunio_cache_test.json";
   {
@@ -307,10 +357,12 @@ TEST(TuningServer, ConcurrentJobsMatchSequentialRuns) {
   // Sequential ground truth: each workload tuned alone, no service.
   auto hacc_alone = hacc_objective();
   GeneticTuner hacc_tuner(space, *hacc_alone, ga);
-  const TuningResult hacc_expected = hacc_tuner.run();
+  const TuningResult hacc_expected =
+      tuners::drive(hacc_tuner, *hacc_alone).tuning;
   auto flash_alone = flash_objective();
   GeneticTuner flash_tuner(space, *flash_alone, ga);
-  const TuningResult flash_expected = flash_tuner.run();
+  const TuningResult flash_expected =
+      tuners::drive(flash_tuner, *flash_alone).tuning;
 
   ServerOptions options;
   options.max_concurrent_jobs = 2;

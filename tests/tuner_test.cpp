@@ -11,6 +11,7 @@
 #include "tuner/genetic_tuner.hpp"
 #include "tuner/objective.hpp"
 #include "tuner/stoppers.hpp"
+#include "tuners/tuner.hpp"
 #include "workloads/sources.hpp"
 #include "workloads/workload.hpp"
 
@@ -161,7 +162,7 @@ TEST(GeneticTuner, FindsSyntheticOptimum) {
   ga.max_generations = 30;
   ga.seed = 11;
   GeneticTuner tuner(space, objective, ga);
-  const TuningResult result = tuner.run();
+  const TuningResult result = tuners::drive(tuner, objective).tuning;
   ASSERT_TRUE(result.best_config.has_value());
   EXPECT_EQ(result.best_config->value("striping_factor"), 32u);
   EXPECT_EQ(result.best_config->value("coll_metadata_write"), 1u);
@@ -174,7 +175,7 @@ TEST(GeneticTuner, BestPerfIsMonotone) {
   GaOptions ga;
   ga.max_generations = 20;
   GeneticTuner tuner(space, objective, ga);
-  const TuningResult result = tuner.run();
+  const TuningResult result = tuners::drive(tuner, objective).tuning;
   double prev = -1.0;
   for (const GenerationStats& gen : result.history) {
     EXPECT_GE(gen.best_perf, prev);  // elitism: never regresses
@@ -190,7 +191,7 @@ TEST(GeneticTuner, CumulativeTimeIsMonotone) {
   GaOptions ga;
   ga.max_generations = 10;
   GeneticTuner tuner(space, objective, ga);
-  const TuningResult result = tuner.run();
+  const TuningResult result = tuners::drive(tuner, objective).tuning;
   double prev = 0.0;
   for (const GenerationStats& gen : result.history) {
     EXPECT_GE(gen.cumulative_seconds, prev);
@@ -206,7 +207,7 @@ TEST(GeneticTuner, CachingAvoidsReEvaluatingElites) {
   ga.max_generations = 15;
   ga.cache_evaluations = true;
   GeneticTuner tuner(space, objective, ga);
-  tuner.run();
+  tuners::drive(tuner, objective);
   // Without caching this would be pop*gens = 240 evaluations.
   EXPECT_LT(objective.evaluations(), 240u);
 }
@@ -218,7 +219,7 @@ TEST(GeneticTuner, CacheHitsDoNotAdvanceTheBudget) {
   ga.max_generations = 15;
   ga.cache_evaluations = true;
   GeneticTuner tuner(space, objective, ga);
-  const TuningResult result = tuner.run();
+  const TuningResult result = tuners::drive(tuner, objective).tuning;
   // The fitness cache stores the full Evaluation, and hits bill zero
   // seconds: every simulated second in the budget corresponds to exactly
   // one fresh evaluation (SyntheticObjective charges a flat 30 s).
@@ -232,7 +233,7 @@ TEST(GeneticTuner, InitialPerfComesFromDefaults) {
   GaOptions ga;
   ga.max_generations = 3;
   GeneticTuner tuner(space, objective, ga);
-  const TuningResult result = tuner.run();
+  const TuningResult result = tuners::drive(tuner, objective).tuning;
   // default: striping 1, coll_meta_write 0 -> 100 - 31 = 69.
   EXPECT_NEAR(result.initial_perf, 69.0, 1e-9);
 }
@@ -251,10 +252,10 @@ TEST(GeneticTuner, SubsetMaskFreezesOtherGenes) {
       [sieve](unsigned, const TuningResult&) {
         return std::vector<std::size_t>{sieve};
       });
-  const TuningResult masked = tuner.run();
+  const TuningResult masked = tuners::drive(tuner, objective).tuning;
 
   GeneticTuner free_tuner(space, objective, ga);
-  const TuningResult free_run = free_tuner.run();
+  const TuningResult free_run = tuners::drive(free_tuner, objective).tuning;
   EXPECT_GT(free_run.best_perf, masked.best_perf);
 }
 
@@ -264,10 +265,11 @@ TEST(GeneticTuner, StopperTerminatesRun) {
   GaOptions ga;
   ga.max_generations = 50;
   GeneticTuner tuner(space, objective, ga);
-  tuner.set_stopper([](unsigned generation, const TuningResult&) {
+  tuners::DriveOptions options;
+  options.stopper = [](unsigned generation, const TuningResult&) {
     return generation >= 7;
-  });
-  const TuningResult result = tuner.run();
+  };
+  const TuningResult result = tuners::drive(tuner, objective, options).tuning;
   EXPECT_TRUE(result.early_stopped);
   EXPECT_EQ(result.generations_run, 8u);
 }
@@ -357,7 +359,7 @@ TEST_P(GaSeedProperty, BeatsDefaultsOnRealStack) {
   ga.population = 8;
   ga.seed = GetParam();
   GeneticTuner tuner(space, *objective, ga);
-  const TuningResult result = tuner.run();
+  const TuningResult result = tuners::drive(tuner, *objective).tuning;
   EXPECT_GE(result.best_perf, result.initial_perf);
   EXPECT_GT(result.total_seconds, 0.0);
 }

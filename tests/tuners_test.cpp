@@ -1,17 +1,25 @@
-// Tests for the pluggable tuner backends: GA-adapter bit-identity with
-// the genetic pipeline, BO/rule search quality and determinism, the
-// registry, the drive() harness, and backend selection in the pipeline
-// and the tuning service.
+// Tests for the pluggable tuner backends: drive() and its callers (the
+// pipeline, interactive sessions, the tuning server) against the GA
+// reference loop, BO/rule search quality and determinism, the registry,
+// the drive() harness, and backend selection in the pipeline and the
+// tuning service.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
+#include "core/session.hpp"
+#include "core/tunio.hpp"
+#include "reference_loop.hpp"
+#include "service/service_objective.hpp"
 #include "service/tuning_server.hpp"
 #include "tuner/genetic_tuner.hpp"
 #include "tuner/stoppers.hpp"
@@ -123,7 +131,7 @@ void expect_identical_results(const tuner::TuningResult& a,
   }
 }
 
-// --- GA adapter bit-identity --------------------------------------------
+// --- GA backend against the reference loop --------------------------------
 
 TEST(GaAdapter, BitIdenticalToRunOnAllSeedWorkloads) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
@@ -132,9 +140,10 @@ TEST(GaAdapter, BitIdenticalToRunOnAllSeedWorkloads) {
     // Fresh objectives with the same testbed seed: evaluations are
     // deterministic in (seed, genome), so both searches see the same
     // landscape.
-    auto direct_objective = workload_objective(which, 42);
-    tuner::GeneticTuner direct(space, *direct_objective, small_ga());
-    const tuner::TuningResult expected = direct.run();
+    auto reference_objective = workload_objective(which, 42);
+    tuner::GeneticTuner reference(space, *reference_objective, small_ga());
+    const tuner::TuningResult expected =
+        reference_loop(reference, *reference_objective);
 
     auto driven_objective = workload_objective(which, 42);
     GaTunerAdapter adapter(space, *driven_objective, small_ga());
@@ -145,38 +154,56 @@ TEST(GaAdapter, BitIdenticalToRunOnAllSeedWorkloads) {
   }
 }
 
+/// The heuristic stopper, also logging the iteration index it is given.
+tuner::Stopper logged_heuristic_stopper(std::vector<unsigned>& log) {
+  return [&log, stopper = tuner::make_heuristic_stopper()](
+             unsigned generation, const tuner::TuningResult& progress) {
+    log.push_back(generation);
+    return stopper(generation, progress);
+  };
+}
+
 TEST(GaAdapter, BitIdenticalUnderStopper) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
-  auto direct_objective = workload_objective("hacc", 7);
   tuner::GaOptions ga = small_ga(0xABC);
   ga.max_generations = 12;
-  tuner::GeneticTuner direct(space, *direct_objective, ga);
-  direct.set_stopper(tuner::make_heuristic_stopper());
-  const tuner::TuningResult expected = direct.run();
+  bool any_stopped = false;
+  for (const std::string which :
+       {"hacc", "flash", "vpic", "macsio", "bdcats"}) {
+    std::vector<unsigned> expected_calls;
+    auto reference_objective = workload_objective(which, 7);
+    tuner::GeneticTuner reference(space, *reference_objective, ga);
+    const tuner::TuningResult expected =
+        reference_loop(reference, *reference_objective,
+                       logged_heuristic_stopper(expected_calls));
 
-  auto driven_objective = workload_objective("hacc", 7);
-  GaTunerAdapter adapter(space, *driven_objective, ga);
-  DriveOptions options;
-  options.stopper = tuner::make_heuristic_stopper();
-  const DriveResult driven = drive(adapter, *driven_objective, options);
+    std::vector<unsigned> driven_calls;
+    auto driven_objective = workload_objective(which, 7);
+    GaTunerAdapter adapter(space, *driven_objective, ga);
+    DriveOptions options;
+    options.stopper = logged_heuristic_stopper(driven_calls);
+    const DriveResult driven = drive(adapter, *driven_objective, options);
 
-  expect_identical_results(expected, driven.tuning);
+    SCOPED_TRACE(which);
+    expect_identical_results(expected, driven.tuning);
+    EXPECT_EQ(expected_calls, driven_calls);
+    any_stopped = any_stopped || expected.early_stopped;
+  }
+  EXPECT_TRUE(any_stopped);  // the stopper path was exercised
 }
 
 TEST(GaAdapter, RunMatchesManualSteppingLoop) {
-  // The stepping API itself reproduces run(): drive the GA by hand.
+  // The registry-built GA, the one the pipeline and the tuning server
+  // run, matches the GA stepped by hand.
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
   auto a = workload_objective("vpic", 3);
-  tuner::GeneticTuner direct(space, *a, small_ga());
-  const tuner::TuningResult expected = direct.run();
+  tuner::GeneticTuner stepped(space, *a, small_ga());
+  const tuner::TuningResult expected = reference_loop(stepped, *a);
 
   auto b = workload_objective("vpic", 3);
-  tuner::GeneticTuner stepped(space, *b, small_ga());
-  while (!stepped.exhausted()) {
-    const std::vector<cfg::Configuration> batch = stepped.begin_iteration();
-    stepped.observe_iteration(b->evaluate_batch(batch));
-  }
-  expect_identical_results(expected, stepped.progress());
+  const std::unique_ptr<Tuner> ga =
+      make_tuner("ga", space, *b, spec_from_ga(small_ga()));
+  expect_identical_results(expected, drive(*ga, *b).tuning);
 }
 
 // --- search quality ------------------------------------------------------
@@ -417,6 +444,111 @@ TEST(PipelineBackend, GaBackendMatchesHistoricalDefaultPath) {
 
   EXPECT_EQ(selected.backend, "ga");
   expect_identical_results(legacy.result, selected.result);
+}
+
+// --- callers of drive() against the reference loop -------------------------
+
+TEST(PipelineBackend, TunioVariantMatchesReferenceLoop) {
+  // Impact-first subsets and RL stopping, wired into the reference loop
+  // by `TunIO::attach` on an identically constructed TunIO.
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  tuner::GaOptions ga = small_ga(0x71);
+  ga.max_generations = 12;
+
+  auto a = workload_objective("flash", 17);
+  core::TunIO reference_tunio(space);
+  tuner::GeneticTuner reference(space, *a, ga);
+  const DriveOptions hooks = reference_tunio.attach(reference);
+  const tuner::TuningResult expected =
+      reference_loop(reference, *a, hooks.stopper);
+
+  auto b = workload_objective("flash", 17);
+  core::TunIO tunio(space);
+  const core::PipelineRun run = core::run_pipeline(
+      space, *b, &tunio, {"tunio", true, core::StopPolicy::kTunio}, ga);
+
+  EXPECT_EQ(run.backend, "ga");
+  expect_identical_results(expected, run.result);
+  EXPECT_EQ(run.result.history.front().subset.size(), space.num_parameters());
+}
+
+TEST(InteractiveSession, TwoStepsMatchReferenceLoop) {
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  const tuner::GaOptions ga = small_ga(0x5E55);
+  const unsigned generations[2] = {3, 4};
+
+  auto a = workload_objective("vpic", 23);
+  core::TunIO reference_tunio(space);
+  std::vector<tuner::TuningResult> expected;
+  std::optional<cfg::Configuration> best;
+  double best_perf = 0.0;
+  for (unsigned step = 0; step < 2; ++step) {
+    // What a session step does: decorrelate the seed, resume from the
+    // best configuration so far.
+    tuner::GaOptions options = ga;
+    options.max_generations = generations[step];
+    options.seed = ga.seed + 0x9E37'79B9u * (step + 1);
+    if (step > 0) options.seed_indices = best->indices();
+    tuner::GeneticTuner reference(space, *a, options);
+    const DriveOptions hooks = reference_tunio.attach(reference);
+    expected.push_back(reference_loop(reference, *a, hooks.stopper));
+    if (expected.back().best_perf > best_perf) {
+      best_perf = expected.back().best_perf;
+      best = expected.back().best_config;
+    }
+  }
+
+  auto b = workload_objective("vpic", 23);
+  core::TunIO tunio(space);
+  core::InteractiveSession session(tunio, *b, ga);
+  for (unsigned step = 0; step < 2; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    expect_identical_results(expected[step], session.step(generations[step]));
+  }
+  EXPECT_EQ(session.best_configuration().indices(), best->indices());
+}
+
+TEST(TuningServer, ResumedGaJobMatchesReferenceLoop) {
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  const tuner::GaOptions first_ga = small_ga(0x1);
+  tuner::GaOptions resume_ga = small_ga(0x2);
+
+  // Reference: the same two searches over a private engine and cache,
+  // under one fingerprint, so the resumed search hits the first one's
+  // entries exactly as it does in the server.
+  service::EvalEngine engine(service::EngineOptions{2});
+  service::ResultCache cache;
+  std::vector<tuner::TuningResult> expected;
+  for (int job = 0; job < 2; ++job) {
+    auto inner = workload_objective("hacc", 29);
+    service::ServiceObjective objective(
+        *inner, service::EvalBinding{&engine, &cache, /*fingerprint=*/5});
+    tuner::GaOptions options = first_ga;
+    if (job == 1) {
+      options = resume_ga;
+      options.seed_indices = expected.front().best_config->indices();
+    }
+    tuner::GeneticTuner reference(space, objective, options);
+    expected.push_back(reference_loop(reference, objective));
+  }
+
+  service::ServerOptions server_options;
+  server_options.engine.workers = 2;
+  service::TuningServer server(space, server_options);
+  service::JobSpec first;
+  first.name = "first";
+  first.objective = workload_objective("hacc", 29);
+  first.fingerprint = 5;
+  first.ga = first_ga;
+  const service::JobId first_id = server.submit(first);
+  expect_identical_results(expected[0], server.wait(first_id));
+
+  service::JobSpec resume = first;
+  resume.name = "resume";
+  resume.objective = workload_objective("hacc", 29);
+  resume.ga = resume_ga;
+  resume.ga.seed_indices = server.progress(first_id).best_indices;
+  expect_identical_results(expected[1], server.wait(server.submit(resume)));
 }
 
 TEST(TuningServer, RunsNonGaBackendJobs) {
