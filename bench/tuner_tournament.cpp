@@ -7,7 +7,7 @@
 // beat random search on best-bandwidth-per-evaluation, else the extra
 // machinery is dead weight. Per (workload, backend) the report records
 // best bandwidth, fresh evaluations spent, bandwidth-per-evaluation,
-// evaluations-to-within-5%-of-the-workload-best, and the replay/cache
+// evaluations-to-within-5%-of-the-workload-best, and the replay
 // attribution counters from the drive.
 //
 // Everything here is simulated and single-threaded, so every recorded
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
 
     // Second pass: evals-to-within-5% needs the cross-backend best.
     std::printf("  %-8s %-14s %-8s %-12s %-10s %s\n", "backend", "best-bw",
-                "evals", "bw/eval", "to-95%", "replayed/interpreted/cached");
+                "evals", "bw/eval", "to-95%", "replayed/interpreted");
     const Outcome* random_outcome = nullptr;
     for (Outcome& outcome : outcomes) {
       const tuner::TuningResult& result = outcome.detail.tuning;
@@ -178,16 +178,14 @@ int main(int argc, char** argv) {
       } else {
         std::snprintf(to95, sizeof to95, "-");
       }
-      std::printf("  %-8s %-14s %-8llu %-12.2f %-10s %llu/%llu/%llu\n",
+      std::printf("  %-8s %-14s %-8llu %-12.2f %-10s %llu/%llu\n",
                   outcome.backend.c_str(),
                   bench::fmt_bw(outcome.best_mbps).c_str(),
                   static_cast<unsigned long long>(outcome.evals),
                   outcome.bw_per_eval, to95,
                   static_cast<unsigned long long>(outcome.detail.replayed_evals),
                   static_cast<unsigned long long>(
-                      outcome.detail.interpreted_evals),
-                  static_cast<unsigned long long>(
-                      outcome.detail.result_cache_hits));
+                      outcome.detail.interpreted_evals));
 
       const std::string prefix = entry.key + "." + outcome.backend;
       // GA rows are gated: the adapter + driver must keep reproducing
@@ -205,9 +203,6 @@ int main(int argc, char** argv) {
       bench::value(prefix + ".interpreted",
                    static_cast<double>(outcome.detail.interpreted_evals),
                    "evals");
-      bench::value(prefix + ".cache_hits",
-                   static_cast<double>(outcome.detail.result_cache_hits),
-                   "hits");
     }
 
     bool knowledge_won = false;

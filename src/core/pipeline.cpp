@@ -30,13 +30,7 @@ tuner::Stopper make_stopper(const PipelineVariant& variant, TunIO* tunio) {
 PipelineRun run_pipeline(const cfg::ConfigSpace& space,
                          tuner::Objective& objective, TunIO* tunio,
                          const PipelineVariant& variant,
-                         tuner::GaOptions ga,
-                         const service::EvalBinding& binding) {
-  service::ServiceObjective service_objective(objective, binding);
-  tuner::Objective& eval_objective =
-      binding.enabled() ? static_cast<tuner::Objective&>(service_objective)
-                        : objective;
-
+                         tuner::GaOptions ga) {
   const bool needs_tunio =
       variant.impact_first || variant.stop == StopPolicy::kTunio;
   TUNIO_CHECK_MSG(!needs_tunio || tunio != nullptr,
@@ -52,7 +46,7 @@ PipelineRun run_pipeline(const cfg::ConfigSpace& space,
     spec.impact = tunio->smart_config().impact_scores();
   }
   const std::unique_ptr<tuners::Tuner> backend =
-      tuners::make_tuner(variant.backend, space, eval_objective, spec);
+      tuners::make_tuner(variant.backend, space, objective, spec);
 
   // Impact-first subsets are a GA hook; the other backends take the
   // impact scores through `spec.impact` instead.
@@ -62,7 +56,7 @@ PipelineRun run_pipeline(const cfg::ConfigSpace& space,
     drive_options = tunio->attach(*ga_backend);
   }
   drive_options.stopper = make_stopper(variant, tunio);
-  run.result = tuners::drive(*backend, eval_objective, drive_options).tuning;
+  run.result = tuners::drive(*backend, objective, drive_options).tuning;
   return run;
 }
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/tunio.hpp"
-#include "service/service_objective.hpp"
 #include "tuner/genetic_tuner.hpp"
 #include "tuner/stoppers.hpp"
 
@@ -54,14 +53,11 @@ struct PipelineRun {
 
 /// Runs one labeled pipeline variant. `tunio` is required (and mutated:
 /// its agents learn) for impact-first or kTunio variants; pass nullptr
-/// for pure-baseline runs. An enabled `binding` routes evaluations
-/// through the service layer — generations fan out over the engine's
-/// workers and repeat genomes hit the shared result cache — without
-/// changing the tuning outcome (results are bit-identical to serial).
+/// for pure-baseline runs. To evaluate through the service layer, submit
+/// a `service::JobSpec` to a `service::TuningServer` instead.
 PipelineRun run_pipeline(const cfg::ConfigSpace& space,
                          tuner::Objective& objective, TunIO* tunio,
                          const PipelineVariant& variant,
-                         tuner::GaOptions ga = {},
-                         const service::EvalBinding& binding = {});
+                         tuner::GaOptions ga = {});
 
 }  // namespace tunio::core

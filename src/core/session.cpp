@@ -7,12 +7,10 @@ namespace tunio::core {
 
 InteractiveSession::InteractiveSession(TunIO& tunio,
                                        tuner::Objective& objective,
-                                       tuner::GaOptions ga,
-                                       service::EvalBinding binding)
+                                       tuner::GaOptions ga)
     : tunio_(tunio),
       objective_(objective),
       ga_(ga),
-      binding_(binding),
       best_config_(tunio.space().default_configuration()) {}
 
 tuner::TuningResult InteractiveSession::step(unsigned generations) {
@@ -25,14 +23,10 @@ tuner::TuningResult InteractiveSession::step(unsigned generations) {
   if (steps_ > 0) {
     ga.seed_indices = best_config_.indices();
   }
-  service::ServiceObjective service_objective(objective_, binding_);
-  tuner::Objective& eval_objective =
-      binding_.enabled() ? static_cast<tuner::Objective&>(service_objective)
-                         : objective_;
-  tuner::GeneticTuner tuner(tunio_.space(), eval_objective, ga);
+  tuner::GeneticTuner tuner(tunio_.space(), objective_, ga);
   const tuners::DriveOptions options = tunio_.attach(tuner);
   const tuner::TuningResult result =
-      tuners::drive(tuner, eval_objective, options).tuning;
+      tuners::drive(tuner, objective_, options).tuning;
   if (!have_initial_) {
     initial_perf_ = result.initial_perf;
     have_initial_ = true;

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "core/tunio.hpp"
-#include "service/service_objective.hpp"
 #include "tuner/genetic_tuner.hpp"
 #include "tuner/objective.hpp"
 
@@ -24,14 +23,9 @@ namespace tunio::core {
 
 class InteractiveSession {
  public:
-  /// `tunio` and `objective` must outlive the session; so must the
-  /// binding's engine/cache. An enabled binding evaluates each
-  /// installment's generations through the service layer — and because
-  /// installments re-present the previous best as their seed individual,
-  /// the shared result cache makes those replays free across steps.
+  /// `tunio` and `objective` must outlive the session.
   InteractiveSession(TunIO& tunio, tuner::Objective& objective,
-                     tuner::GaOptions ga = {},
-                     service::EvalBinding binding = {});
+                     tuner::GaOptions ga = {});
 
   /// Runs up to `generations` more tuning generations (fewer if the RL
   /// stopper fires). Returns the stats of this installment.
@@ -55,7 +49,6 @@ class InteractiveSession {
   TunIO& tunio_;
   tuner::Objective& objective_;
   tuner::GaOptions ga_;
-  service::EvalBinding binding_;
   cfg::Configuration best_config_;
   double best_perf_ = 0.0;
   double initial_perf_ = 0.0;

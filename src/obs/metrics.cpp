@@ -19,16 +19,11 @@ void Histogram::observe(double value, const std::string& exemplar) {
   counts_[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.add(value);
-  std::lock_guard<std::mutex> lock(exemplar_mutex_);
-  if (!has_max_ || value > max_) {
-    max_ = value;
-    has_max_ = true;
-    if (!exemplar.empty()) exemplar_ = exemplar;
-  }
+  note_max(value, exemplar);
 }
 
 void Histogram::add_bucketed(const std::vector<std::uint64_t>& counts,
-                             double sum) {
+                             double sum, double max) {
   TUNIO_CHECK_MSG(counts.size() == counts_.size(),
                   "bucketed merge arity mismatch");
   std::uint64_t total = 0;
@@ -38,6 +33,16 @@ void Histogram::add_bucketed(const std::vector<std::uint64_t>& counts,
   }
   count_.fetch_add(total, std::memory_order_relaxed);
   sum_.add(sum);
+  if (total > 0) note_max(max, {});
+}
+
+void Histogram::note_max(double value, const std::string& exemplar) {
+  std::lock_guard<std::mutex> lock(exemplar_mutex_);
+  if (!has_max_ || value > max_) {
+    max_ = value;
+    has_max_ = true;
+    if (!exemplar.empty()) exemplar_ = exemplar;
+  }
 }
 
 std::uint64_t MetricsSnapshot::counter(const std::string& name) const {

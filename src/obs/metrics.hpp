@@ -77,13 +77,18 @@ class Histogram {
 
   /// Bulk-merges pre-bucketed counts (one per bound, plus overflow);
   /// used by simulator teardown flushes that already kept Darshan-style
-  /// size buckets. `counts` must have `bounds().size() + 1` entries.
-  void add_bucketed(const std::vector<std::uint64_t>& counts, double sum);
+  /// size buckets. `counts` must have `bounds().size() + 1` entries;
+  /// `max` is the largest of the merged samples (ignored when `counts`
+  /// holds none).
+  void add_bucketed(const std::vector<std::uint64_t>& counts, double sum,
+                    double max);
 
   const std::vector<double>& bounds() const { return bounds_; }
 
  private:
   friend class MetricsRegistry;
+
+  void note_max(double value, const std::string& exemplar);
 
   std::vector<double> bounds_;
   /// counts_[i] = samples <= bounds_[i]; last entry = overflow.

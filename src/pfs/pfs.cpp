@@ -60,6 +60,7 @@ void SizeHistogram::record(Bytes size) {
   else if (size < 16 * MiB) bucket = 3;
   else bucket = 4;
   ++counts[bucket];
+  largest = std::max(largest, size);
 }
 
 std::uint64_t SizeHistogram::total() const {
@@ -118,10 +119,13 @@ void PfsSimulator::publish_metrics() {
   metrics.bytes_written.add(delta.bytes_written);
   metrics.metadata_ops.add(delta.metadata_ops);
   metrics.rmw_bytes.add(delta.rmw_bytes);
-  metrics.read_sizes.add_bucketed(histogram_counts(delta.read_sizes),
-                                  static_cast<double>(delta.bytes_read));
-  metrics.write_sizes.add_bucketed(histogram_counts(delta.write_sizes),
-                                   static_cast<double>(delta.bytes_written));
+  metrics.read_sizes.add_bucketed(
+      histogram_counts(delta.read_sizes), static_cast<double>(delta.bytes_read),
+      static_cast<double>(delta.read_sizes.largest));
+  metrics.write_sizes.add_bucketed(
+      histogram_counts(delta.write_sizes),
+      static_cast<double>(delta.bytes_written),
+      static_cast<double>(delta.write_sizes.largest));
   // OST busy time needs no flushed-baseline: every publish point rewinds
   // the timelines (or destroys them), so each busy span is added once.
   SimSeconds busy = 0.0;

@@ -92,6 +92,9 @@ struct PfsProfile {
 struct SizeHistogram {
   static constexpr std::size_t kBuckets = 5;
   std::array<std::uint64_t, kBuckets> counts{};
+  /// Largest request recorded so far; a running max, so `operator-=`
+  /// leaves it alone.
+  Bytes largest = 0;
 
   void record(Bytes size);
   std::uint64_t total() const;

@@ -77,7 +77,6 @@ std::vector<tuner::Evaluation> EvalEngine::evaluate_batch(
   if (!objective.concurrent_safe() || configs.size() <= 1) {
     const std::vector<tuner::Evaluation> results =
         objective.evaluate_batch(configs);
-    batches_completed_.fetch_add(1, std::memory_order_relaxed);
     engine_batches_counter().add(1);
     return results;
   }
@@ -109,7 +108,6 @@ std::vector<tuner::Evaluation> EvalEngine::evaluate_batch(
   std::unique_lock<std::mutex> lock(state->mutex);
   state->done.wait(lock, [&] { return state->remaining == 0; });
   if (state->error) std::rethrow_exception(state->error);
-  batches_completed_.fetch_add(1, std::memory_order_relaxed);
   engine_batches_counter().add(1);
   return results;
 }

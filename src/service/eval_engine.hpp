@@ -57,10 +57,6 @@ class EvalEngine {
   std::uint64_t tasks_completed() const {
     return tasks_completed_.load(std::memory_order_relaxed);
   }
-  /// Completed batches.
-  std::uint64_t batches_completed() const {
-    return batches_completed_.load(std::memory_order_relaxed);
-  }
 
  private:
   void worker_loop();
@@ -72,7 +68,6 @@ class EvalEngine {
   std::queue<std::function<void()>> queue_;
   bool stopping_ = false;
   std::atomic<std::uint64_t> tasks_completed_{0};
-  std::atomic<std::uint64_t> batches_completed_{0};
 };
 
 }  // namespace tunio::service

@@ -19,25 +19,17 @@
 
 namespace tunio::service {
 
-/// How a tuning run binds to the service: both members optional —
-/// engine-only parallelizes without memoization, cache-only memoizes
-/// serially, neither degrades to the wrapped objective untouched.
-struct EvalBinding {
-  EvalEngine* engine = nullptr;
-  ResultCache* cache = nullptr;
-  /// Cache namespace; must identify the workload *and* testbed so two
-  /// jobs share entries only when their evaluations are interchangeable.
-  std::uint64_t fingerprint = 0;
-
-  bool enabled() const { return engine != nullptr || cache != nullptr; }
-};
-
 class ServiceObjective final : public tuner::Objective {
  public:
-  /// `inner` must outlive this objective; so must the binding's targets.
-  ServiceObjective(tuner::Objective& inner, EvalBinding binding);
+  /// `inner`, `engine` and `cache` must outlive this objective.
+  /// `fingerprint` is the cache namespace; it must identify the workload
+  /// *and* testbed so two jobs share entries only when their evaluations
+  /// are interchangeable.
+  ServiceObjective(tuner::Objective& inner, EvalEngine& engine,
+                   ResultCache& cache, std::uint64_t fingerprint);
 
   std::string name() const override { return inner_.name(); }
+  /// A batch of one: same cache and engine path as `evaluate_batch`.
   tuner::Evaluation evaluate(const cfg::Configuration& config) override;
   std::vector<tuner::Evaluation> evaluate_batch(
       const std::vector<cfg::Configuration>& configs) override;
@@ -54,7 +46,9 @@ class ServiceObjective final : public tuner::Objective {
 
  private:
   tuner::Objective& inner_;
-  EvalBinding binding_;
+  EvalEngine& engine_;
+  ResultCache& cache_;
+  std::uint64_t fingerprint_;
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
 };

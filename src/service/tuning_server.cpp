@@ -219,9 +219,8 @@ void TuningServer::scheduler_loop() {
 
 void TuningServer::run_job(Job& job) {
   try {
-    ServiceObjective objective(
-        *job.spec.objective,
-        EvalBinding{&engine_, &cache_, job.spec.fingerprint});
+    ServiceObjective objective(*job.spec.objective, engine_, cache_,
+                               job.spec.fingerprint);
 
     // The stopper doubles as the per-generation progress beacon and the
     // cancellation point; tuning state stays consistent because it only

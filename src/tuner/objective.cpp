@@ -20,38 +20,12 @@ namespace tunio::tuner {
 
 std::vector<Evaluation> Objective::evaluate_batch(
     const std::vector<cfg::Configuration>& configs) {
-  BatchScope scope(configs.size());
   std::vector<Evaluation> results;
   results.reserve(configs.size());
   for (const cfg::Configuration& config : configs) {
     results.push_back(evaluate(config));
   }
   return results;
-}
-
-namespace {
-thread_local bool g_in_batch = false;
-}  // namespace
-
-Objective::BatchScope::BatchScope(std::size_t requested)
-    : counted_(!g_in_batch) {
-  if (!counted_) return;
-  g_in_batch = true;
-  // Cache-effectiveness attribution: together with
-  // `tuner.eval.interpreted` / `tuner.eval.replayed` (below) and
-  // `service.cache.hits` / `service.cache.misses` (ResultCache), the
-  // deltas of these counters around a search separate work the search
-  // requested from work actually simulated.
-  static obs::Counter* batches =
-      &obs::MetricsRegistry::global().counter("tuner.eval.batches");
-  static obs::Counter* requests =
-      &obs::MetricsRegistry::global().counter("tuner.eval.requested");
-  batches->add(1);
-  requests->add(requested);
-}
-
-Objective::BatchScope::~BatchScope() {
-  if (counted_) g_in_batch = false;
 }
 
 namespace {

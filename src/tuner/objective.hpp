@@ -127,7 +127,8 @@ class Objective {
   /// the serial path — which the built-in objectives guarantee by
   /// drawing each evaluation's noise from a per-genome RNG stream
   /// (`derive_stream(seed, hash_indices(genome))`) instead of one shared
-  /// sequential stream.
+  /// sequential stream. `tuners::drive()` is the caller, and counts each
+  /// batch into `tuner.eval.batches` / `tuner.eval.requested`.
   virtual std::vector<Evaluation> evaluate_batch(
       const std::vector<cfg::Configuration>& configs);
 
@@ -140,24 +141,6 @@ class Objective {
 
   /// Total evaluations performed so far.
   virtual std::uint64_t evaluations() const = 0;
-
- protected:
-  /// Counts one top-level batch into the `tuner.eval.batches` /
-  /// `tuner.eval.requested` counters. `evaluate_batch` implementations
-  /// open one scope for the whole call; nested scopes (a caching
-  /// objective delegating its misses to the inner objective's
-  /// `evaluate_batch`) count nothing, so the counters measure what the
-  /// search requested, not how the layers split the work.
-  class BatchScope {
-   public:
-    explicit BatchScope(std::size_t requested);
-    ~BatchScope();
-    BatchScope(const BatchScope&) = delete;
-    BatchScope& operator=(const BatchScope&) = delete;
-
-   private:
-    bool counted_;
-  };
 };
 
 /// Evaluates a native workload driver.

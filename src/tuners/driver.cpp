@@ -20,11 +20,13 @@ DriveResult drive(Tuner& tuner, tuner::Objective& objective,
       registry.counter("tuners." + tuner.name() + ".iterations");
   obs::Counter& proposals =
       registry.counter("tuners." + tuner.name() + ".proposals");
+  // What the search requested, before the objective's result cache,
+  // evaluation engine and replay path split the work up.
+  obs::Counter& batches = registry.counter("tuner.eval.batches");
+  obs::Counter& requested = registry.counter("tuner.eval.requested");
 
   const std::uint64_t replayed0 = counter_value("tuner.eval.replayed");
   const std::uint64_t interpreted0 = counter_value("tuner.eval.interpreted");
-  const std::uint64_t cache_hits0 = counter_value("service.cache.hits");
-  const std::uint64_t cache_misses0 = counter_value("service.cache.misses");
 
   DriveResult out;
   unsigned iteration = 0;
@@ -34,6 +36,8 @@ DriveResult drive(Tuner& tuner, tuner::Objective& objective,
     out.fresh_evaluations += batch.size();
     // Evaluated even when empty: a cache-satisfied GA generation still
     // issues its (empty) batch.
+    batches.add(1);
+    requested.add(batch.size());
     const std::vector<tuner::Evaluation> evals =
         objective.evaluate_batch(batch);
     tuner.observe(evals);
@@ -64,9 +68,6 @@ DriveResult drive(Tuner& tuner, tuner::Objective& objective,
   out.replayed_evals = counter_value("tuner.eval.replayed") - replayed0;
   out.interpreted_evals =
       counter_value("tuner.eval.interpreted") - interpreted0;
-  out.result_cache_hits = counter_value("service.cache.hits") - cache_hits0;
-  out.result_cache_misses =
-      counter_value("service.cache.misses") - cache_misses0;
   const tuner::ReplayGate gate = objective.replay_gate();
   out.replay_eligible = gate.eligible;
   out.replay_gate_reason = gate.reason;

@@ -73,12 +73,12 @@ struct DriveOptions {
   tuner::Stopper stopper;
 };
 
-/// What a driven search produced, plus the attribution counters the
-/// tournament report uses to separate search quality from cache luck.
-/// The counter deltas are read from the global `MetricsRegistry`, so
-/// they attribute cleanly only when no other evaluations run
-/// concurrently with this drive (true for benches and tests; a shared
-/// service should rely on per-cache stats instead).
+/// What a driven search produced, plus the replay split the tournament
+/// report prints. The replay counts are deltas of the global
+/// `MetricsRegistry`, so they attribute cleanly only when no other
+/// evaluations run concurrently with this drive (true for benches and
+/// tests); `TuningServer` reports its exact per-job cache counts from
+/// `ServiceObjective`.
 struct DriveResult {
   tuner::TuningResult tuning;
   /// Cumulative fresh evaluations after each iteration (parallel to
@@ -87,8 +87,6 @@ struct DriveResult {
   std::uint64_t fresh_evaluations = 0;  ///< total configs sent to evaluate
   std::uint64_t replayed_evals = 0;     ///< Δ tuner.eval.replayed
   std::uint64_t interpreted_evals = 0;  ///< Δ tuner.eval.interpreted
-  std::uint64_t result_cache_hits = 0;  ///< Δ service.cache.hits
-  std::uint64_t result_cache_misses = 0;  ///< Δ service.cache.misses
   /// Whether the objective qualified for the record/replay fast path,
   /// and the gate's justification either way (e.g. "no tuned_* reads"
   /// vs "tuned value reaches h5dwrite_all at line 12" or "static

@@ -145,8 +145,10 @@ TEST(Metrics, AddBucketedMergesTeardownFlushes) {
   std::vector<std::uint64_t> counts(buckets, 0);
   counts[0] = 7;
   counts[buckets - 1] = 2;
-  h.add_bucketed(counts, 1234.0);
-  h.add_bucketed(counts, 1.0);
+  h.add_bucketed(counts, 1234.0, 900.0);
+  h.add_bucketed(counts, 1.0, 5e7);
+  // An empty merge carries no sample, so its max is ignored.
+  h.add_bucketed(std::vector<std::uint64_t>(buckets, 0), 0.0, 1e12);
 
   const MetricsSnapshot snap = registry.snapshot();
   const MetricsSnapshot::HistogramValue* v = snap.histogram("sizes");
@@ -155,6 +157,7 @@ TEST(Metrics, AddBucketedMergesTeardownFlushes) {
   EXPECT_EQ(v->counts[buckets - 1], 4u);
   EXPECT_EQ(v->count, 18u);
   EXPECT_DOUBLE_EQ(v->sum, 1235.0);
+  EXPECT_DOUBLE_EQ(v->max, 5e7);
 }
 
 TEST(Metrics, ResetZeroesButKeepsInstrumentIdentity) {

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "pfs/layout.hpp"
 #include "pfs/pfs.hpp"
 
@@ -250,6 +251,24 @@ TEST(PfsSimulator, CountersRecordAccessSizes) {
   EXPECT_EQ(fs.counters().write_sizes.counts[3], 1u);
   EXPECT_EQ(fs.counters().read_sizes.counts[1], 1u);
   EXPECT_EQ(fs.counters().write_sizes.total(), 2u);
+}
+
+TEST(PfsSimulator, TeardownFlushReportsLargestWrite) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.reset();
+  {
+    PfsSimulator fs;
+    fs.create("/m", 0.0);
+    fs.write("/m", 0.0, 0, 3 * MiB);
+    fs.write("/m", 0.0, 3 * MiB, 512);
+    fs.write("/m", 0.0, 4 * MiB, 40 * KiB);
+  }
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const obs::MetricsSnapshot::HistogramValue* writes =
+      snap.histogram("pfs.write_size_bytes");
+  ASSERT_NE(writes, nullptr);
+  EXPECT_EQ(writes->count, 3u);
+  EXPECT_DOUBLE_EQ(writes->max, static_cast<double>(3 * MiB));
 }
 
 TEST(PfsSimulator, RoundRobinOstPlacementSpreadsFiles) {

@@ -184,8 +184,7 @@ TEST(Determinism, PoolSizeDoesNotChangeTuningResult) {
     EvalEngine engine(EngineOptions{workers});
     ResultCache cache;
     auto objective = hacc_objective();
-    ServiceObjective service(*objective,
-                             EvalBinding{&engine, &cache, /*fingerprint=*/7});
+    ServiceObjective service(*objective, engine, cache, /*fingerprint=*/7);
     GeneticTuner tuner(space, service, ga);
     const TuningResult result = tuners::drive(tuner, service).tuning;
     SCOPED_TRACE("workers=" + std::to_string(workers));
@@ -329,9 +328,10 @@ TEST(ResultCache, FilePersistence) {
 }
 
 TEST(ServiceObjective, CacheHitsAreFreeAndCounted) {
+  EvalEngine engine(EngineOptions{1});
   ResultCache cache;
   SyntheticObjective inner;
-  ServiceObjective service(inner, EvalBinding{nullptr, &cache, 3});
+  ServiceObjective service(inner, engine, cache, 3);
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
   const cfg::Configuration config = space.default_configuration();
 

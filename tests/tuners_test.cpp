@@ -18,6 +18,7 @@
 #include "core/pipeline.hpp"
 #include "core/session.hpp"
 #include "core/tunio.hpp"
+#include "obs/metrics.hpp"
 #include "reference_loop.hpp"
 #include "service/service_objective.hpp"
 #include "service/tuning_server.hpp"
@@ -414,6 +415,49 @@ TEST(Driver, ReportsInitialPerfFromFirstConfiguration) {
   EXPECT_DOUBLE_EQ(run.tuning.initial_perf, default_perf);
 }
 
+/// `tuner.eval.batches` / `tuner.eval.requested` count what the search
+/// asked for: one batch per iteration and every proposed configuration,
+/// whether or not the objective layers below split or cache the work.
+void expect_drive_counts_batches(const std::string& backend,
+                                 tuner::Objective& objective) {
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const std::uint64_t batches0 = registry.counter("tuner.eval.batches").value();
+  const std::uint64_t requested0 =
+      registry.counter("tuner.eval.requested").value();
+  auto tuner = make_tuner(backend, space, objective, {});
+  DriveOptions options;
+  options.max_iterations = 3;
+  const DriveResult run = drive(*tuner, objective, options);
+  ASSERT_EQ(run.evaluations.size(), run.tuning.generations_run);
+  EXPECT_EQ(registry.counter("tuner.eval.batches").value() - batches0,
+            run.tuning.generations_run);
+  EXPECT_EQ(registry.counter("tuner.eval.requested").value() - requested0,
+            run.fresh_evaluations);
+}
+
+TEST(Driver, CountsEachBatchOnceForEveryBackend) {
+  for (const std::string& backend : backend_names()) {
+    SCOPED_TRACE(backend);
+    {
+      SyntheticObjective plain;
+      expect_drive_counts_batches(backend, plain);
+    }
+    {
+      // The inner objective is not concurrent_safe, so the engine falls
+      // back to the inner objective's own evaluate_batch: a nested batch
+      // that must not be counted again.
+      SyntheticObjective inner;
+      service::EvalEngine engine(service::EngineOptions{2});
+      service::ResultCache cache;
+      service::ServiceObjective objective(inner, engine, cache,
+                                          /*fingerprint=*/11);
+      expect_drive_counts_batches(backend, objective);
+      EXPECT_EQ(inner.evaluations(), objective.cache_misses());
+    }
+  }
+}
+
 // --- pipeline / service integration -------------------------------------
 
 TEST(PipelineBackend, RuleBackendRunsThroughRunPipeline) {
@@ -521,8 +565,8 @@ TEST(TuningServer, ResumedGaJobMatchesReferenceLoop) {
   std::vector<tuner::TuningResult> expected;
   for (int job = 0; job < 2; ++job) {
     auto inner = workload_objective("hacc", 29);
-    service::ServiceObjective objective(
-        *inner, service::EvalBinding{&engine, &cache, /*fingerprint=*/5});
+    service::ServiceObjective objective(*inner, engine, cache,
+                                        /*fingerprint=*/5);
     tuner::GaOptions options = first_ga;
     if (job == 1) {
       options = resume_ga;
