@@ -19,8 +19,8 @@
 #include "core/pipeline.hpp"
 #include "core/roti.hpp"
 #include "core/tunio.hpp"
-#include "tuner/genetic_tuner.hpp"
 #include "tuner/objective.hpp"
+#include "tuners/genetic_tuner.hpp"
 #include "workloads/workload.hpp"
 
 namespace tunio::bench {

@@ -19,8 +19,8 @@
 #include "nn/dense_net.hpp"
 #include "pfs/pfs.hpp"
 #include "rl/q_agent.hpp"
-#include "tuner/genetic_tuner.hpp"
 #include "tuner/objective.hpp"
+#include "tuners/genetic_tuner.hpp"
 #include "tuners/tuner.hpp"
 #include "workloads/sources.hpp"
 #include "workloads/workload.hpp"

@@ -176,13 +176,14 @@ int main() {
   const std::uint64_t collectives =
       metrics.counter("mpi.barriers") + metrics.counter("mpi.allreduces") +
       metrics.counter("mpi.gathers") + metrics.counter("mpi.broadcasts");
+  // Every job above runs the GA, so its iterations are the generations.
   std::printf("metrics: %llu PFS reads, %llu PFS writes, %llu MPI "
               "collectives, %llu tuner generations, %llu RL stop decisions\n",
               static_cast<unsigned long long>(metrics.counter("pfs.reads")),
               static_cast<unsigned long long>(metrics.counter("pfs.writes")),
               static_cast<unsigned long long>(collectives),
               static_cast<unsigned long long>(
-                  metrics.counter("tuner.generations")),
+                  metrics.counter("tuners.ga.iterations")),
               static_cast<unsigned long long>(
                   metrics.counter("rl.early_stop.decisions")));
   std::printf("evaluation fast path: %llu replayed, %llu interpreted\n",

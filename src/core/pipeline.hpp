@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "core/tunio.hpp"
-#include "tuner/genetic_tuner.hpp"
 #include "tuner/stoppers.hpp"
+#include "tuners/genetic_tuner.hpp"
 
 namespace tunio::core {
 

@@ -16,8 +16,8 @@
 #include <string>
 
 #include "core/tunio.hpp"
-#include "tuner/genetic_tuner.hpp"
 #include "tuner/objective.hpp"
+#include "tuners/genetic_tuner.hpp"
 
 namespace tunio::core {
 

@@ -239,7 +239,7 @@ std::vector<std::size_t> SmartConfigGen::subset_picker(
   obs::Tracer& tracer = obs::Tracer::global();
   if (tracer.enabled()) {
     // Picker decisions live between generations; stamp them with the
-    // tuner's ambient budget time (set by GeneticTuner::observe).
+    // tuner's ambient budget time (set by TunerBase::observe).
     tracer.instant("rl", "subset_pick", obs::Tracer::ambient_seconds(),
                    obs::kPidRl, /*tid=*/1,
                    {{"subset_size", std::to_string(action + 1)},

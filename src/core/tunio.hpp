@@ -21,7 +21,7 @@
 #include "core/early_stopping.hpp"
 #include "core/smart_config.hpp"
 #include "discovery/discovery.hpp"
-#include "tuner/genetic_tuner.hpp"
+#include "tuners/genetic_tuner.hpp"
 
 namespace tunio::core {
 

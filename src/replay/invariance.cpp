@@ -45,32 +45,12 @@ void collect_tuned_stmts(const minic::Stmt& stmt, std::set<int>& out) {
   }
 }
 
-bool any_tuned_read(const minic::Program& program) {
+std::set<int> tuned_readers(const minic::Program& program) {
   std::set<int> readers;
   for (const minic::Function& fn : program.functions) {
     if (fn.body) collect_tuned_stmts(*fn.body, readers);
   }
-  return !readers.empty();
-}
-
-/// The PR-4 verdict: a tuned_* reader survives the backward slice from
-/// the op-emitting call sites. Failure counts as dependent.
-bool slicer_dependent(const minic::Program& program) {
-  try {
-    std::set<int> tuned_readers;
-    for (const minic::Function& fn : program.functions) {
-      if (fn.body) collect_tuned_stmts(*fn.body, tuned_readers);
-    }
-    if (tuned_readers.empty()) return false;
-    const analysis::SliceResult slice =
-        analysis::slice_io(program, kOpEmittingPrefixes);
-    for (const int id : tuned_readers) {
-      if (slice.kept.count(id) > 0) return true;
-    }
-    return false;
-  } catch (...) {
-    return true;
-  }
+  return readers;
 }
 
 void count(const char* metric) {
@@ -82,16 +62,14 @@ void count(const char* metric) {
 InvarianceReport analyze_invariance(const minic::Program& program) {
   InvarianceReport report;
 
-  // Fast path: no tuned_* read anywhere — trivially invariant, and both
-  // gates agree, so skip the solvers entirely.
-  if (!any_tuned_read(program)) {
+  // Fast path: no tuned_* read anywhere — trivially invariant, so skip
+  // the solver entirely.
+  if (tuned_readers(program).empty()) {
     report.dependent = false;
     report.reason = "no tuned_* reads";
     count("replay.gate.invariant");
     return report;
   }
-
-  report.slicer_dependent = slicer_dependent(program);
 
   const analysis::ProgramCost cost = analysis::predict_cost(program);
   if (!cost.analyzable) {
@@ -129,11 +107,22 @@ InvarianceReport analyze_invariance(const minic::Program& program) {
   }
 
   count(report.dependent ? "replay.gate.dependent" : "replay.gate.invariant");
-  if (!report.dependent && report.slicer_dependent) {
-    // Taint admitted a program the def-use slicer would have rejected.
-    count("replay.gate.recovered");
-  }
   return report;
+}
+
+bool slicer_dependent(const minic::Program& program) {
+  try {
+    const std::set<int> readers = tuned_readers(program);
+    if (readers.empty()) return false;
+    const analysis::SliceResult slice =
+        analysis::slice_io(program, kOpEmittingPrefixes);
+    for (const int id : readers) {
+      if (slice.kept.count(id) > 0) return true;
+    }
+    return false;
+  } catch (...) {
+    return true;
+  }
 }
 
 bool settings_dependent(const minic::Program& program) {

@@ -29,9 +29,9 @@
 // sites, which kept any *statement* whose variables reach an op — e.g.
 // `int s = tuned_x(); s = 8; h5dwrite_all(d, s);` was dependent under
 // the slicer's scope-level rule but is provably invariant under taint
-// (the tuned value dies at the overwrite). The report carries the legacy
-// slicer verdict too, so the `replay.gate.recovered` counter can tally
-// programs the taint gate newly admits to the fast path.
+// (the tuned value dies at the overwrite). The gate does not run the
+// slicer; `slicer_dependent` keeps its verdict as an oracle, so tests and
+// benches can count the programs taint admits that the slicer rejects.
 #pragma once
 
 #include <string>
@@ -54,19 +54,20 @@ struct InvarianceReport {
   std::string reason;
   /// The verdict is the conservative fallback, not a proof.
   bool unanalyzable = false;
-  /// What the PR-4 def-use slicer would have said (dependent on slicer
-  /// failure too). dependent == false && slicer_dependent == true means
-  /// the taint gate recovered this program for the fast path.
-  bool slicer_dependent = false;
   /// Op-emitting call sites with tainted arguments or tainted control.
   int tainted_sites = 0;
 };
 
-/// Runs the taint gate (and the legacy slicer, for the recovery
-/// counter) and bumps the `replay.gate.*` metrics:
-/// invariant / dependent / unanalyzable, plus recovered when the taint
-/// verdict beats the slicer's. Never throws.
+/// Runs the taint gate and bumps the `replay.gate.*` metrics:
+/// invariant / dependent / unanalyzable. Never throws.
 InvarianceReport analyze_invariance(const minic::Program& program);
+
+/// The legacy def-use slicer's verdict: a tuned_* reader survives the
+/// backward slice from the op-emitting call sites (slicer failure counts
+/// as dependent). Taint is at least as precise, so
+/// `!analyze_invariance(p).dependent && slicer_dependent(p)` marks a
+/// program the taint gate recovered for the fast path. Never throws.
+bool slicer_dependent(const minic::Program& program);
 
 /// True when `program`'s op stream may observe a `tuned_*` builtin and a
 /// recorded trace must not be reused. Shorthand for

@@ -36,7 +36,7 @@
 #include "config/space.hpp"
 #include "service/eval_engine.hpp"
 #include "service/result_cache.hpp"
-#include "tuner/genetic_tuner.hpp"
+#include "tuners/genetic_tuner.hpp"
 
 namespace tunio::service {
 

@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "tuner/genetic_tuner.hpp"
+#include "tuners/genetic_tuner.hpp"
 #include "tuners/tuner.hpp"
 
 namespace tunio::tuners {

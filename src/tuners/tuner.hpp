@@ -1,7 +1,7 @@
 // The pluggable tuner-backend interface.
 //
-// Every search in TunIO — the genetic pipeline of `src/tuner` included —
-// runs through one loop, split into two halves:
+// Every search in TunIO — the genetic pipeline included — runs through
+// one loop, split into two halves:
 //
 //   * a `Tuner` proposes batches of configurations and absorbs their
 //     evaluations — pure search strategy, no objective access;
@@ -11,8 +11,10 @@
 //     unchanged with the parallel evaluation engine, the shared result
 //     cache, the record/replay fast path and the RL early stopper.
 //
-// Backends are registered by name (see registry.hpp): "ga" is the
-// `GeneticTuner` itself, whose hooks TunIO's components plug into, "bo" is
+// Every backend derives from `TunerBase` (tuner_base.hpp), which keeps
+// the iteration bookkeeping. Backends are registered by name (see
+// registry.hpp): "ga" is the `GeneticTuner`, whose hooks TunIO's
+// components plug into, "bo" is
 // an asynchronous batched Bayesian optimizer, "rule" a deterministic
 // knowledge-driven searcher seeded from linter hints and impact
 // rankings, "random" the random-search control. `bench/tuner_tournament`

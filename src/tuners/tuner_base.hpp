@@ -1,15 +1,15 @@
-// Shared bookkeeping for the non-GA backends.
+// Shared bookkeeping for every backend.
 //
 // `TunerBase` owns everything every backend must report identically —
-// the `TuningResult` history, best-config tracking, simulated-budget
-// accounting, per-backend metrics counters and tracer spans on the
-// tuning-budget clock — so a concrete backend only implements its search
-// logic: `next_batch()` (what to try) and `absorb()` (what to learn).
+// the propose/observe handshake, the `TuningResult` history, best-config
+// tracking, simulated-budget accounting, per-backend metrics and tracer
+// spans on the tuning-budget clock — so a concrete backend only
+// implements its search logic: `next_batch()` (what to try) and
+// `absorb()` (what to learn).
 //
 // Convention: the first configuration of the first batch is the
 // starting point (the stack defaults or the caller's seed), and its
-// evaluation is reported as `initial_perf` — matching the GA, whose
-// individual 0 of generation 0 plays the same role.
+// evaluation is reported as `initial_perf`.
 #pragma once
 
 #include <string>
@@ -24,12 +24,12 @@ class TunerBase : public Tuner {
  public:
   TunerBase(std::string backend_name, const cfg::ConfigSpace& space);
 
-  std::string name() const override { return name_; }
+  std::string name() const final { return name_; }
   std::vector<cfg::Configuration> propose() final;
   void observe(const std::vector<tuner::Evaluation>& evals) final;
-  const tuner::TuningResult& progress() const override { return result_; }
-  bool done() const override { return done_; }
-  void finish(bool early_stopped) override;
+  const tuner::TuningResult& progress() const final { return result_; }
+  bool done() const final { return done_; }
+  void finish(bool early_stopped) final;
 
  protected:
   /// The next batch of configurations to evaluate. Backends signal
@@ -41,6 +41,16 @@ class TunerBase : public Tuner {
   /// `best_perf()` already reflects this batch.
   virtual void absorb(const std::vector<cfg::Configuration>& batch,
                       const std::vector<tuner::Evaluation>& evals) = 0;
+
+  /// Best perf of the iteration, for its history entry. Default: the
+  /// best of `evals`. A backend that also scores configurations it did
+  /// not send for evaluation (the GA's fitness-cache hits) counts them.
+  virtual double iteration_best(
+      const std::vector<tuner::Evaluation>& evals) const;
+
+  /// Parameter subset the iteration tuned (empty = all), for its history
+  /// entry.
+  virtual std::vector<std::size_t> iteration_subset() const { return {}; }
 
   /// No further proposals; the driver will stop after this iteration.
   void set_done() { done_ = true; }

@@ -31,7 +31,6 @@
 #include "minic/parser.hpp"
 #include "minic/printer.hpp"
 #include "mpisim/mpisim.hpp"
-#include "obs/metrics.hpp"
 #include "pfs/pfs.hpp"
 #include "replay/hooks.hpp"
 #include "replay/invariance.hpp"
@@ -363,9 +362,7 @@ TEST(AnalysisFuzz, DifferentialOverRandomPrograms) {
   const cfg::StackSettings narrow_settings = cfg::resolve(narrow);
   const cfg::StackSettings wide_settings = cfg::resolve(wide);
 
-  const obs::Counter& recovered =
-      obs::MetricsRegistry::global().counter("replay.gate.recovered");
-  const std::uint64_t recovered_before = recovered.value();
+  int recovered_programs = 0;
   int invariant_programs = 0;
   int dependent_programs = 0;
 
@@ -421,10 +418,12 @@ TEST(AnalysisFuzz, DifferentialOverRandomPrograms) {
     const replay::InvarianceReport report =
         replay::analyze_invariance(program);
     EXPECT_FALSE(report.reason.empty());
+    const bool slicer_dependent = replay::slicer_dependent(program);
     if (report.tainted_sites > 0) {
-      EXPECT_TRUE(report.slicer_dependent)
+      EXPECT_TRUE(slicer_dependent)
           << "taint found a dependent site the slicer missed";
     }
+    if (!report.dependent && slicer_dependent) ++recovered_programs;
 
     // (5) Taint-invariant programs record bit-identical op streams under
     // two extreme configurations — the exact soundness property the
@@ -445,7 +444,7 @@ TEST(AnalysisFuzz, DifferentialOverRandomPrograms) {
   // the slicer rejects but taint recovers.
   EXPECT_GT(invariant_programs, 0);
   EXPECT_GT(dependent_programs, 0);
-  EXPECT_GT(recovered.value(), recovered_before)
+  EXPECT_GT(recovered_programs, 0)
       << "no program exercised the taint-recovery (slicer-dependent but "
          "taint-invariant) path";
 }

@@ -4,7 +4,7 @@
 // one search loop is checked against a second, independent one.
 #pragma once
 
-#include "tuner/genetic_tuner.hpp"
+#include "tuners/genetic_tuner.hpp"
 
 namespace tunio {
 

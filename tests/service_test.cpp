@@ -12,8 +12,8 @@
 #include "service/result_cache.hpp"
 #include "service/service_objective.hpp"
 #include "service/tuning_server.hpp"
-#include "tuner/genetic_tuner.hpp"
 #include "tuner/objective.hpp"
+#include "tuners/genetic_tuner.hpp"
 #include "tuners/tuner.hpp"
 #include "workloads/workload.hpp"
 

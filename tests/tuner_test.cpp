@@ -8,9 +8,9 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "minic/parser.hpp"
-#include "tuner/genetic_tuner.hpp"
 #include "tuner/objective.hpp"
 #include "tuner/stoppers.hpp"
+#include "tuners/genetic_tuner.hpp"
 #include "tuners/tuner.hpp"
 #include "workloads/sources.hpp"
 #include "workloads/workload.hpp"
@@ -257,6 +257,39 @@ TEST(GeneticTuner, SubsetMaskFreezesOtherGenes) {
   GeneticTuner free_tuner(space, objective, ga);
   const TuningResult free_run = tuners::drive(free_tuner, objective).tuning;
   EXPECT_GT(free_run.best_perf, masked.best_perf);
+}
+
+/// Every perf is below -1 (a negated cost, say). Bests start at -1, so
+/// no configuration becomes the search's best and the subset mask has no
+/// elite to freeze genes at.
+class NegativeObjective final : public Objective {
+ public:
+  std::string name() const override { return "negative"; }
+  Evaluation evaluate(const cfg::Configuration& config) override {
+    ++evals_;
+    Evaluation eval;
+    eval.perf_mbps = -10.0 - static_cast<double>(config.indices()[0]);
+    eval.eval_seconds = 30.0;
+    return eval;
+  }
+  std::uint64_t evaluations() const override { return evals_; }
+
+ private:
+  std::uint64_t evals_ = 0;
+};
+
+TEST(GeneticTuner, SubsetMaskWithoutABestConfigurationStillBreeds) {
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  NegativeObjective objective;
+  GaOptions ga;
+  ga.population = 8;
+  ga.max_generations = 4;
+  GeneticTuner tuner(space, objective, ga);
+  tuner.set_subset_provider([](unsigned, const TuningResult&) {
+    return std::vector<std::size_t>{0, 1};
+  });
+  const TuningResult result = tuners::drive(tuner, objective).tuning;
+  EXPECT_EQ(result.generations_run, 4u);
 }
 
 TEST(GeneticTuner, StopperTerminatesRun) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -22,7 +23,6 @@
 #include "reference_loop.hpp"
 #include "service/service_objective.hpp"
 #include "service/tuning_server.hpp"
-#include "tuner/genetic_tuner.hpp"
 #include "tuner/stoppers.hpp"
 #include "tuners/bo_tuner.hpp"
 #include "tuners/ga_adapter.hpp"
@@ -205,6 +205,140 @@ TEST(GaAdapter, RunMatchesManualSteppingLoop) {
   const std::unique_ptr<Tuner> ga =
       make_tuner("ga", space, *b, spec_from_ga(small_ga()));
   expect_identical_results(expected, drive(*ga, *b).tuning);
+}
+
+// --- golden TuningResult pins ---------------------------------------------
+
+/// FNV-1a over the bit patterns of every `TuningResult` field. The
+/// reference loop above drives the same GA as `drive()`, so it cannot
+/// see a change in the bookkeeping both share; these pins can.
+class ResultHash {
+ public:
+  void add(const tuner::TuningResult& r) {
+    add_double(r.initial_perf);
+    add_double(r.best_perf);
+    add_double(r.total_seconds);
+    add_bits(r.generations_run);
+    add_bits(r.early_stopped ? 1 : 0);
+    add_bits(r.history.size());
+    for (const tuner::GenerationStats& s : r.history) {
+      add_bits(s.generation);
+      add_double(s.generation_best_perf);
+      add_double(s.best_perf);
+      add_double(s.cumulative_seconds);
+      add_bits(s.subset.size());
+      for (std::size_t p : s.subset) add_bits(p);
+    }
+    add_bits(r.best_config.has_value() ? 1 : 0);
+    if (r.best_config.has_value()) {
+      for (std::size_t i : r.best_config->indices()) add_bits(i);
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void add_double(double d) { add_bits(std::bit_cast<std::uint64_t>(d)); }
+  void add_bits(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (v >> (8 * byte)) & 0xFF;
+      hash_ *= 0x100000001B3ull;
+    }
+  }
+  std::uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+/// Drives one tuner per seed workload, each on a fresh objective.
+template <typename MakeTuner>
+std::vector<tuner::TuningResult> drive_seed_workloads(
+    MakeTuner make, const DriveOptions& options = {}) {
+  std::vector<tuner::TuningResult> results;
+  for (const std::string which :
+       {"hacc", "flash", "vpic", "macsio", "bdcats"}) {
+    auto objective = workload_objective(which, 31);
+    const std::unique_ptr<Tuner> tuner = make(*objective);
+    results.push_back(drive(*tuner, *objective, options).tuning);
+  }
+  return results;
+}
+
+std::uint64_t hash_results(const std::vector<tuner::TuningResult>& results) {
+  ResultHash hash;
+  for (const tuner::TuningResult& result : results) hash.add(result);
+  return hash.value();
+}
+
+TEST(GoldenResults, TuningResultsArePinnedForEveryBackend) {
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  auto ga_with = [&](tuner::GaOptions ga,
+                     tuner::SubsetProvider subsets = nullptr) {
+    return [&space, ga, subsets](tuner::Objective& objective) {
+      auto tuner = std::make_unique<GaTunerAdapter>(space, objective, ga);
+      if (subsets) tuner->set_subset_provider(subsets);
+      return std::unique_ptr<Tuner>(std::move(tuner));
+    };
+  };
+  auto backend = [&](const std::string& name) {
+    return [&space, name](tuner::Objective& objective) {
+      TunerSpec spec;
+      spec.seed = 0x601D;
+      spec.batch = 6;
+      spec.max_iterations = 5;
+      return make_tuner(name, space, objective, spec);
+    };
+  };
+
+  tuner::GaOptions no_cache = small_ga();
+  no_cache.cache_evaluations = false;
+  // All genes free in generation 0, then a rotating pair plus a fixed one.
+  const tuner::SubsetProvider rotating = [](unsigned generation,
+                                            const tuner::TuningResult&) {
+    if (generation == 0) return std::vector<std::size_t>{};
+    return std::vector<std::size_t>{generation % 12, (generation + 5) % 12, 7};
+  };
+  tuner::GaOptions stopped = small_ga(0xABC);
+  stopped.max_generations = 12;
+  DriveOptions with_stopper;
+  with_stopper.stopper = tuner::make_heuristic_stopper();
+  DriveOptions capped;
+  capped.max_iterations = 5;
+
+  const std::vector<tuner::TuningResult> subset_runs =
+      drive_seed_workloads(ga_with(small_ga(0x5B5E7), rotating));
+  const std::vector<tuner::TuningResult> stopped_runs =
+      drive_seed_workloads(ga_with(stopped), with_stopper);
+  // The hooks under test were exercised.
+  EXPECT_EQ(subset_runs.front().history.at(1).subset.size(), 3u);
+  EXPECT_TRUE(std::any_of(stopped_runs.begin(), stopped_runs.end(),
+                          [](const tuner::TuningResult& r) {
+                            return r.early_stopped;
+                          }));
+
+  const std::vector<std::pair<std::string, std::uint64_t>> actual = {
+      {"ga cache on", hash_results(drive_seed_workloads(ga_with(small_ga())))},
+      {"ga cache off", hash_results(drive_seed_workloads(ga_with(no_cache)))},
+      {"ga subsets", hash_results(subset_runs)},
+      {"ga stopper", hash_results(stopped_runs)},
+      {"bo", hash_results(drive_seed_workloads(backend("bo"), capped))},
+      {"rule", hash_results(drive_seed_workloads(backend("rule"), capped))},
+      {"random",
+       hash_results(drive_seed_workloads(backend("random"), capped))},
+  };
+  // Recorded while the GA still kept its own iteration bookkeeping: the
+  // move onto `TunerBase` must not change a single bit of any result.
+  const std::vector<std::uint64_t> pinned = {
+      0x1fa2ba6027dbc065ull,  // ga cache on
+      0xd963196f34c56868ull,  // ga cache off
+      0x3a50d004a2b4f92cull,  // ga subsets
+      0x62b70746e8e02b56ull,  // ga stopper
+      0xb7f7292c02a27973ull,  // bo
+      0xeea8bdbf863bc6fbull,  // rule
+      0x249e84c6d62132a8ull,  // random
+  };
+  ASSERT_EQ(actual.size(), pinned.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].second, pinned[i])
+        << actual[i].first << ": 0x" << std::hex << actual[i].second;
+  }
 }
 
 // --- search quality ------------------------------------------------------
