@@ -182,45 +182,28 @@ SourceResult run_source(const std::string& name, const std::string& source,
   return r;
 }
 
-/// Wall-clock of strided 1 MiB writes through the path-keyed convenience
-/// API vs. the handle API the hot path uses.
-void pfs_api_comparison() {
-  section("allocation-free PFS hot path: handle API vs. path lookups");
+/// Wall-clock of strided 1 MiB writes through the handle API, the
+/// simulator's hot path.
+void pfs_write_throughput() {
+  section("allocation-free PFS hot path: handle writes");
   constexpr unsigned kOps = 1000000;
   pfs::CreateOptions opts;
   opts.stripe_count = 8;
 
-  pfs::PfsSimulator path_fs;
-  path_fs.create("/bench", 0.0, opts);
-  auto start = Clock::now();
+  pfs::PfsSimulator fs;
+  const pfs::FileHandle handle = fs.create_file("/bench", 0.0, opts).handle;
+  const auto start = Clock::now();
   SimSeconds t = 0.0;
   Bytes offset = 0;
   for (unsigned i = 0; i < kOps; ++i) {
-    t = path_fs.write("/bench", t, offset, 1 * MiB);
+    t = fs.write(handle, t, offset, 1 * MiB);
     offset += 1 * MiB;
   }
-  const double path_wall = seconds_since(start);
+  const double wall = seconds_since(start);
   keep(t);
 
-  pfs::PfsSimulator handle_fs;
-  handle_fs.create("/bench", 0.0, opts);
-  const pfs::FileHandle handle = *handle_fs.find_file("/bench");
-  start = Clock::now();
-  t = 0.0;
-  offset = 0;
-  for (unsigned i = 0; i < kOps; ++i) {
-    t = handle_fs.write(handle, t, offset, 1 * MiB);
-    offset += 1 * MiB;
-  }
-  const double handle_wall = seconds_since(start);
-  keep(t);
-
-  std::printf("  path API:   %12.0f simulated writes/s\n", kOps / path_wall);
-  std::printf("  handle API: %12.0f simulated writes/s  (%.2fx)\n",
-              kOps / handle_wall, path_wall / handle_wall);
-  value("pfs_path_writes_per_sec", kOps / path_wall, "ops/s");
-  value("pfs_handle_writes_per_sec", kOps / handle_wall, "ops/s");
-  value("pfs_handle_vs_path_x", path_wall / handle_wall, "x");
+  std::printf("  handle API: %12.0f simulated writes/s\n", kOps / wall);
+  value("pfs_handle_writes_per_sec", kOps / wall, "ops/s");
 }
 
 int run(int argc, char** argv) {
@@ -275,7 +258,7 @@ int run(int argc, char** argv) {
   }
   const double paper_geomean = std::exp(log_paper_sum / n);
 
-  pfs_api_comparison();
+  pfs_write_throughput();
 
   section("acceptance");
   summary("single-eval speedup (geomean, 8-rank testbed)",

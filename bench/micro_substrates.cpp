@@ -17,6 +17,7 @@
 #include "hdf5lite/file.hpp"
 #include "minic/parser.hpp"
 #include "nn/dense_net.hpp"
+#include "obs/metrics.hpp"
 #include "pfs/pfs.hpp"
 #include "rl/q_agent.hpp"
 #include "tuner/objective.hpp"
@@ -31,11 +32,11 @@ static void BM_PfsWrite(benchmark::State& state) {
   pfs::PfsSimulator fs;
   pfs::CreateOptions opts;
   opts.stripe_count = static_cast<unsigned>(state.range(0));
-  fs.create("/bench", 0.0, opts);
+  const pfs::FileHandle handle = fs.create_file("/bench", 0.0, opts).handle;
   Bytes offset = 0;
   SimSeconds t = 0.0;
   for (auto _ : state) {
-    t = fs.write("/bench", t, offset, 1 * MiB);
+    t = fs.write(handle, t, offset, 1 * MiB);
     offset += 1 * MiB;
     benchmark::DoNotOptimize(t);
   }
@@ -199,8 +200,7 @@ double simulated_anchor_seconds() {
   pfs::PfsSimulator fs;
   pfs::CreateOptions opts;
   opts.stripe_count = 8;
-  fs.create("/anchor", 0.0, opts);
-  const pfs::FileHandle handle = *fs.find_file("/anchor");
+  const pfs::FileHandle handle = fs.create_file("/anchor", 0.0, opts).handle;
   SimSeconds t = 0.0;
   for (unsigned i = 0; i < 64; ++i) {
     t = fs.write(handle, t, static_cast<Bytes>(i) * MiB, 1 * MiB);
@@ -227,6 +227,11 @@ int main(int argc, char** argv) {
   HarnessReporter reporter;
   const std::size_t ran = benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  // The benchmarks' work counters scale with however many iterations the
+  // library chose on this host. Count only the fixed anchor below, so the
+  // report's non-zero metrics are the same on every host and under every
+  // filter (zeroed instruments are those some benchmark created).
+  obs::MetricsRegistry::global().reset();
   tunio::bench::value("benchmarks_run", static_cast<double>(ran), "count");
   tunio::bench::value("sim_anchor_write_seconds", simulated_anchor_seconds(),
                       "s", /*gate=*/true,

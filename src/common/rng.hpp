@@ -31,20 +31,6 @@ std::uint64_t hash_indices(const std::vector<std::size_t>& indices);
 /// every item gets an independent, reproducible RNG stream.
 std::uint64_t derive_stream(std::uint64_t root_seed, std::uint64_t item_hash);
 
-/// Per-rank compute-time jitter shared by the workload drivers, the
-/// mini-C interpreter, and the replay executor: SplitMix64-style hash of
-/// (rank, salt) into [0.97, 1.03]. One definition so recorded compute
-/// phases replay with bit-identical durations.
-inline double compute_jitter(unsigned rank, unsigned salt) {
-  std::uint64_t z = (static_cast<std::uint64_t>(rank) << 32) ^ salt;
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  const double unit = static_cast<double>(z % 10000) / 10000.0;
-  return 0.97 + 0.06 * unit;
-}
-
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x7'1010) : engine_(seed) {}

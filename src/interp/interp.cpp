@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "discovery/discovery.hpp"
 #include "hdf5lite/file.hpp"
 #include "replay/hooks.hpp"
+#include "workloads/ops.hpp"
 
 namespace tunio::interp {
 
@@ -58,13 +58,6 @@ bool truthy(const Value& v, int line) {
   if (const auto* i = std::get_if<std::int64_t>(&v)) return *i != 0;
   if (const auto* d = std::get_if<double>(&v)) return *d != 0.0;
   fail(line, "string used as a condition");
-}
-
-/// Per-rank compute jitter (same model as the native workload drivers).
-/// Delegates to the shared definition so interpreted, native, and replayed
-/// runs agree bit-for-bit.
-double jitter(unsigned rank, unsigned salt) {
-  return compute_jitter(rank, salt);
 }
 
 class Interpreter {
@@ -472,34 +465,15 @@ class Interpreter {
       meter_.phase_begin(trace::Phase::kWrite);
       // Recorded after the phase op so the replayed write (and its stdio
       // library cost) lands in the write phase, as it does here.
-      replay::note_log_write(path,
-                             static_cast<Bytes>(as_int(args[1], line)),
-                             /*settings_stripe=*/true,
-                             create.tier == pfs::Tier::kMemory);
-      if (!fs_.exists(path)) {
-        create.stripe_count = 1;  // logs are plain fopen'd files
-        fs_.create(path, mpi_.clock(0), create);
-      }
-      // Buffered stdio: the operation and bytes are recorded against the
-      // filesystem, but the writer does not wait for the flush.
-      const Bytes offset = fs_.file_size(path);
-      fs_.write(path, mpi_.clock(0), offset,
-                static_cast<Bytes>(as_int(args[1], line)));
-      mpi_.compute(0, 5e-6);
+      wl::log_write(mpi_, fs_, path, static_cast<Bytes>(as_int(args[1], line)),
+                    create, /*settings_stripe=*/true);
       meter_.phase_begin(trace::Phase::kOther);
       return std::int64_t{0};
     }
     if (name == "compute") {
       need_args(call, 1);
       const double seconds = as_double(args[0], line);
-      if (seconds > 0.0) {
-        replay::note_compute(seconds, compute_salt_);
-        for (unsigned r = 0; r < mpi_.size(); ++r) {
-          mpi_.compute(r, seconds * jitter(r, compute_salt_));
-        }
-        mpi_.barrier();
-        ++compute_salt_;
-      }
+      if (seconds > 0.0) wl::compute_phase(mpi_, seconds, compute_salt_++);
       return std::int64_t{0};
     }
     if (name == "mpi_size") {

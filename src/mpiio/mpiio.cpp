@@ -25,7 +25,7 @@ MpiIoFile::MpiIoFile(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
   // on behalf of the communicator (rank 0 does the MDS round-trip).
   mpi_.barrier();
   const SimSeconds t = mpi_.max_clock();
-  const pfs::OpenResult opened = fs_.exists(path_)
+  const pfs::OpenResult opened = fs_.find_file(path_)
                                      ? fs_.open_file(path_, t)
                                      : fs_.create_file(path_, t, create_options);
   handle_ = opened.handle;

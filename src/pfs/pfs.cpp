@@ -169,7 +169,9 @@ OpenResult PfsSimulator::create_file(const std::string& path, SimSeconds start,
 }
 
 OpenResult PfsSimulator::open_file(const std::string& path, SimSeconds start) {
-  return {handle_of(path), metadata_op(start)};
+  const std::optional<FileHandle> handle = find_file(path);
+  TUNIO_CHECK_MSG(handle.has_value(), "unknown file: " + path);
+  return {*handle, metadata_op(start)};
 }
 
 std::optional<FileHandle> PfsSimulator::find_file(
@@ -177,16 +179,6 @@ std::optional<FileHandle> PfsSimulator::find_file(
   auto it = index_.find(path);
   if (it == index_.end()) return std::nullopt;
   return it->second;
-}
-
-SimSeconds PfsSimulator::create(const std::string& path, SimSeconds start,
-                                const CreateOptions& options) {
-  return create_file(path, start, options).done;
-}
-
-SimSeconds PfsSimulator::open(const std::string& path, SimSeconds start) {
-  TUNIO_CHECK_MSG(exists(path), "open of missing file: " + path);
-  return metadata_op(start);
 }
 
 SimSeconds PfsSimulator::remove(const std::string& path, SimSeconds start) {
@@ -258,84 +250,42 @@ SimSeconds PfsSimulator::service_extent(File& file, const StripeExtent& extent,
   return network_.transfer(served, extent.length);
 }
 
-SimSeconds PfsSimulator::write(FileHandle handle, SimSeconds start,
-                               Bytes offset, Bytes length) {
+SimSeconds PfsSimulator::request(FileHandle handle, SimSeconds start,
+                                 Bytes offset, Bytes length, bool is_write) {
   File& file = file_at(handle);
-  ++counters_.writes;
-  counters_.bytes_written += length;
-  counters_.write_sizes.record(length);
-  file.size = std::max(file.size, offset + length);
-  if (file.tier == Tier::kMemory) {
-    const SimSeconds done = memory_io(start, length);
-    note_io(/*is_write=*/true, length, start, done);
-    return done;
+  if (is_write) {
+    ++counters_.writes;
+    counters_.bytes_written += length;
+    counters_.write_sizes.record(length);
+    file.size = std::max(file.size, offset + length);
+  } else {
+    ++counters_.reads;
+    counters_.bytes_read += length;
+    counters_.read_sizes.record(length);
   }
-
   SimSeconds done = start;
-  file.layout.for_each_extent(offset, length, [&](const StripeExtent& extent) {
-    done = std::max(done, service_extent(file, extent, start, /*write=*/true));
-  });
-  note_io(/*is_write=*/true, length, start, done);
-  return done;
-}
-
-SimSeconds PfsSimulator::write(const std::string& path, SimSeconds start,
-                               Bytes offset, Bytes length) {
-  return write(handle_of(path), start, offset, length);
-}
-
-SimSeconds PfsSimulator::read(FileHandle handle, SimSeconds start,
-                              Bytes offset, Bytes length) {
-  File& file = file_at(handle);
-  ++counters_.reads;
-  counters_.bytes_read += length;
-  counters_.read_sizes.record(length);
   if (file.tier == Tier::kMemory) {
-    const SimSeconds done = memory_io(start, length);
-    note_io(/*is_write=*/false, length, start, done);
-    return done;
+    done = memory_io(start, length);
+  } else {
+    file.layout.for_each_extent(
+        offset, length, [&](const StripeExtent& extent) {
+          done = std::max(done, service_extent(file, extent, start, is_write));
+        });
   }
-
-  SimSeconds done = start;
-  file.layout.for_each_extent(offset, length, [&](const StripeExtent& extent) {
-    done =
-        std::max(done, service_extent(file, extent, start, /*write=*/false));
-  });
-  note_io(/*is_write=*/false, length, start, done);
+  note_io(is_write, length, start, done);
   return done;
-}
-
-SimSeconds PfsSimulator::read(const std::string& path, SimSeconds start,
-                              Bytes offset, Bytes length) {
-  return read(handle_of(path), start, offset, length);
-}
-
-bool PfsSimulator::exists(const std::string& path) const {
-  return index_.count(path) > 0;
 }
 
 Bytes PfsSimulator::file_size(FileHandle handle) const {
   return file_at(handle).size;
 }
 
-Bytes PfsSimulator::file_size(const std::string& path) const {
-  return lookup(path).size;
-}
-
 Tier PfsSimulator::file_tier(FileHandle handle) const {
   return file_at(handle).tier;
 }
 
-Tier PfsSimulator::file_tier(const std::string& path) const {
-  return lookup(path).tier;
-}
-
 const StripeLayout& PfsSimulator::file_layout(FileHandle handle) const {
   return file_at(handle).layout;
-}
-
-const StripeLayout& PfsSimulator::file_layout(const std::string& path) const {
-  return lookup(path).layout;
 }
 
 std::vector<SimSeconds> PfsSimulator::ost_busy_times() const {
@@ -368,12 +318,6 @@ void PfsSimulator::quiesce() {
   }
 }
 
-FileHandle PfsSimulator::handle_of(const std::string& path) const {
-  auto it = index_.find(path);
-  TUNIO_CHECK_MSG(it != index_.end(), "unknown file: " + path);
-  return it->second;
-}
-
 PfsSimulator::File& PfsSimulator::file_at(FileHandle handle) {
   TUNIO_CHECK_MSG(handle < files_.size(), "invalid file handle");
   return files_[handle];
@@ -382,14 +326,6 @@ PfsSimulator::File& PfsSimulator::file_at(FileHandle handle) {
 const PfsSimulator::File& PfsSimulator::file_at(FileHandle handle) const {
   TUNIO_CHECK_MSG(handle < files_.size(), "invalid file handle");
   return files_[handle];
-}
-
-PfsSimulator::File& PfsSimulator::lookup(const std::string& path) {
-  return files_[handle_of(path)];
-}
-
-const PfsSimulator::File& PfsSimulator::lookup(const std::string& path) const {
-  return files_[handle_of(path)];
 }
 
 }  // namespace tunio::pfs

@@ -17,12 +17,11 @@
 // completion time; contention between concurrent callers emerges from
 // the shared `ResourceTimeline`s.
 //
-// Files can be addressed two ways. `create_file`/`open_file` return an
-// integer `FileHandle`; the handle-taking `read`/`write`/`file_size`/...
-// overloads are the hot path — no per-op string hashing. The path-based
-// API is kept as a thin wrapper (one hash lookup per call) for cold-path
-// callers. Handles stay valid until `reset()`; like a POSIX fd held
-// across unlink, a handle outlives `remove()` of its path.
+// A path is resolved once, by `create_file`, `open_file` or `find_file`,
+// into an integer `FileHandle`; every other operation takes the handle,
+// so no request hashes a string. Handles stay valid until `reset()`;
+// like a POSIX fd held across unlink, a handle outlives `remove()` of its
+// path.
 #pragma once
 
 #include <array>
@@ -177,13 +176,6 @@ class PfsSimulator {
   /// analogue of consulting an already-cached dentry. Empty if absent.
   std::optional<FileHandle> find_file(const std::string& path) const;
 
-  /// Creates (or truncates) a file; returns completion time of the MDS op.
-  SimSeconds create(const std::string& path, SimSeconds start,
-                    const CreateOptions& options = {});
-
-  /// Opens an existing file (MDS op). Throws if absent.
-  SimSeconds open(const std::string& path, SimSeconds start);
-
   /// Removes a file if present (MDS op). Outstanding handles keep
   /// working, like a POSIX fd held across unlink.
   SimSeconds remove(const std::string& path, SimSeconds start);
@@ -191,26 +183,21 @@ class PfsSimulator {
   /// A pure-metadata operation against the MDS (stat, attr update, ...).
   SimSeconds metadata_op(SimSeconds start);
 
-  /// Writes [offset, offset+length); returns completion time. The handle
-  /// overload is the allocation- and hash-free hot path.
+  /// Writes [offset, offset+length); returns completion time.
   SimSeconds write(FileHandle handle, SimSeconds start, Bytes offset,
-                   Bytes length);
-  SimSeconds write(const std::string& path, SimSeconds start, Bytes offset,
-                   Bytes length);
+                   Bytes length) {
+    return request(handle, start, offset, length, /*is_write=*/true);
+  }
 
   /// Reads [offset, offset+length); returns completion time.
   SimSeconds read(FileHandle handle, SimSeconds start, Bytes offset,
-                  Bytes length);
-  SimSeconds read(const std::string& path, SimSeconds start, Bytes offset,
-                  Bytes length);
+                  Bytes length) {
+    return request(handle, start, offset, length, /*is_write=*/false);
+  }
 
-  bool exists(const std::string& path) const;
   Bytes file_size(FileHandle handle) const;
-  Bytes file_size(const std::string& path) const;
   Tier file_tier(FileHandle handle) const;
-  Tier file_tier(const std::string& path) const;
   const StripeLayout& file_layout(FileHandle handle) const;
-  const StripeLayout& file_layout(const std::string& path) const;
 
   const PfsCounters& counters() const { return counters_; }
 
@@ -244,11 +231,13 @@ class PfsSimulator {
     std::vector<Bytes> last_end_per_ost;
   };
 
-  File& lookup(const std::string& path);
-  const File& lookup(const std::string& path) const;
-  FileHandle handle_of(const std::string& path) const;
   File& file_at(FileHandle handle);
   const File& file_at(FileHandle handle) const;
+
+  /// The body of `write` and `read`: counts the request, services it on
+  /// the file's tier and returns its completion time.
+  SimSeconds request(FileHandle handle, SimSeconds start, Bytes offset,
+                     Bytes length, bool is_write);
 
   /// Services one per-OST extent; returns completion time.
   SimSeconds service_extent(File& file, const StripeExtent& extent,
@@ -268,7 +257,7 @@ class PfsSimulator {
   ResourceTimeline mds_;
   SharedChannel network_;
   /// Handle-indexed file table (deque: references stay stable) plus the
-  /// path index used by the wrapper API and create/open/remove.
+  /// path index that create/open/find/remove resolve against.
   std::deque<File> files_;
   std::unordered_map<std::string, FileHandle> index_;
   PfsCounters counters_;

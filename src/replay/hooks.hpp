@@ -1,9 +1,9 @@
 // Recording side of the evaluation fast path.
 //
 // The instrumented layers — hdf5lite's File/Dataset, trace::RunMeter,
-// the workload drivers' shared helpers, and the mini-C interpreter's
-// builtins — call the `note_*` functions below at each application-level
-// op. They are no-ops unless a `Recorder` is installed on the calling
+// the log and compute ops in `workloads/ops.hpp`, and the mini-C
+// interpreter's builtins — call the `note_*` functions below at each
+// application-level op. They are no-ops unless a `Recorder` is installed on the calling
 // thread (`RecordScope`), so the cost on unrecorded runs is one
 // thread-local load per *HDF5-level* call, nothing per PFS request.
 // Replayed runs never install a recorder, so replay cannot re-record

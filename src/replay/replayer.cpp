@@ -2,12 +2,11 @@
 
 #include <bit>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "hdf5lite/file.hpp"
+#include "workloads/ops.hpp"
 
 namespace tunio::replay {
 
@@ -81,28 +80,15 @@ class Executor {
         return;
       }
       case OpKind::kLogWrite: {
-        // One path lookup per op; appends go through the handle API.
-        std::optional<pfs::FileHandle> log = fs_.find_file(op.text);
-        if (!log) {
-          pfs::CreateOptions create =
-              op.flag ? settings_.lustre : pfs::CreateOptions{};
-          if (op.flag2) create.tier = pfs::Tier::kMemory;
-          create.stripe_count = 1;  // logs are plain fopen'd files
-          fs_.create(op.text, mpi_.clock(0), create);
-          log = fs_.find_file(op.text);
-        }
-        const Bytes offset = fs_.file_size(*log);
-        fs_.write(*log, mpi_.clock(0), offset, op.a);
-        mpi_.compute(0, 5e-6);
+        pfs::CreateOptions create =
+            op.flag ? settings_.lustre : pfs::CreateOptions{};
+        if (op.flag2) create.tier = pfs::Tier::kMemory;
+        wl::log_write(mpi_, fs_, op.text, op.a, create, op.flag);
         return;
       }
-      case OpKind::kCompute: {
-        for (unsigned r = 0; r < mpi_.size(); ++r) {
-          mpi_.compute(r, op.seconds * compute_jitter(r, op.salt));
-        }
-        mpi_.barrier();
+      case OpKind::kCompute:
+        wl::compute_phase(mpi_, op.seconds, op.salt);
         return;
-      }
       case OpKind::kBarrier:
         mpi_.barrier();
         return;

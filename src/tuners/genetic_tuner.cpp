@@ -1,6 +1,7 @@
 #include "tuners/genetic_tuner.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "common/error.hpp"
@@ -125,8 +126,7 @@ void GeneticTuner::breed() {
     mutate(child_a);
     mutate(child_b);
     // Impact-first masking: genes outside the subset are frozen at the
-    // elite's values, so the search only explores high-impact axes. (No
-    // elite exists only while no perf has beaten TunerBase's -1 floor.)
+    // elite's values, so the search only explores high-impact axes.
     if (!subset.empty() && elite.has_value()) {
       auto in_subset = [&](std::size_t g) {
         return std::binary_search(subset.begin(), subset.end(), g);
@@ -201,8 +201,10 @@ std::vector<cfg::Configuration> GeneticTuner::next_batch() {
 double GeneticTuner::iteration_best(
     const std::vector<Evaluation>& fresh) const {
   // Individuals outside the batch are fitness-cache hits or duplicates of
-  // a batch entry; the cache holds the former until `absorb`.
-  double best = TunerBase::iteration_best(fresh);
+  // a batch entry; the cache holds the former until `absorb`. A
+  // generation with no fresh evaluation is all cache hits.
+  double best = fresh.empty() ? -std::numeric_limits<double>::infinity()
+                              : TunerBase::iteration_best(fresh);
   for (const Genome& genome : population_) {
     const auto hit = fitness_cache_.find(genome);
     if (hit != fitness_cache_.end()) {

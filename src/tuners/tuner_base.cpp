@@ -31,7 +31,8 @@ void TunerBase::observe(const std::vector<tuner::Evaluation>& evals) {
   double billed_seconds = 0.0;
   for (std::size_t i = 0; i < evals.size(); ++i) {
     billed_seconds += evals[i].eval_seconds;
-    if (evals[i].perf_mbps > best_perf_) {
+    // The first observation sets the best, whatever its sign.
+    if (!result_.best_config || evals[i].perf_mbps > best_perf_) {
       best_perf_ = evals[i].perf_mbps;
       result_.best_config = pending_[i];
     }
@@ -82,7 +83,8 @@ void TunerBase::observe(const std::vector<tuner::Evaluation>& evals) {
 
 double TunerBase::iteration_best(
     const std::vector<tuner::Evaluation>& evals) const {
-  double best = -1.0;
+  if (evals.empty()) return -1.0;
+  double best = evals.front().perf_mbps;
   for (const tuner::Evaluation& eval : evals) {
     best = std::max(best, eval.perf_mbps);
   }

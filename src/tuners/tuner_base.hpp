@@ -43,8 +43,9 @@ class TunerBase : public Tuner {
                       const std::vector<tuner::Evaluation>& evals) = 0;
 
   /// Best perf of the iteration, for its history entry. Default: the
-  /// best of `evals`. A backend that also scores configurations it did
-  /// not send for evaluation (the GA's fitness-cache hits) counts them.
+  /// best of `evals`, or -1 for an empty batch. A backend that also
+  /// scores configurations it did not send for evaluation (the GA's
+  /// fitness-cache hits) counts them.
   virtual double iteration_best(
       const std::vector<tuner::Evaluation>& evals) const;
 

@@ -75,7 +75,7 @@ class BdcatsWorkload final : public Workload {
       }
 
       meter.phase_begin(trace::Phase::kOther);
-      detail::compute_phase(
+      compute_phase(
           mpi, params_.compute_seconds_per_round * options.compute_scale,
           /*salt=*/100 + round);
     }

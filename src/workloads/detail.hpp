@@ -1,20 +1,12 @@
 // Shared helpers for the concrete workload drivers.
 #pragma once
 
-#include <cstdint>
-#include <string>
-
 #include "config/stack_settings.hpp"
-#include "mpisim/mpisim.hpp"
 #include "pfs/pfs.hpp"
+#include "workloads/ops.hpp"
 #include "workloads/workload.hpp"
 
 namespace tunio::wl::detail {
-
-/// Deterministic per-rank compute jitter in [0.97, 1.03]: real SPMD ranks
-/// never finish compute phases in lockstep, and the resulting barrier
-/// stalls are part of what I/O tuning has to live with.
-double jitter(unsigned rank, unsigned salt);
 
 /// Applies loop reduction to an iteration count: at least one iteration
 /// survives ("whenever the loop iterations are too small to reduce ...
@@ -28,14 +20,5 @@ double extrapolation_factor(unsigned original, unsigned reduced);
 /// Lustre create options for a run (tier switch applied).
 pfs::CreateOptions create_options(const cfg::StackSettings& settings,
                                   const RunOptions& options);
-
-/// Runs a compute phase across all ranks with per-rank jitter followed by
-/// a barrier, as SPMD codes do between I/O phases.
-void compute_phase(mpisim::MpiSim& mpi, double seconds, unsigned salt);
-
-/// Emits one small "logging" write (rank 0 appending to a log file) — the
-/// incidental I/O that Application I/O Discovery strips from kernels.
-void log_write(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
-               const std::string& log_path, Bytes bytes);
 
 }  // namespace tunio::wl::detail

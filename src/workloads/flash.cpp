@@ -37,7 +37,7 @@ class FlashWorkload final : public Workload {
     const SimSeconds start = mpi.max_clock();
 
     meter.phase_begin(trace::Phase::kOther);
-    detail::compute_phase(
+    compute_phase(
         mpi, params_.compute_seconds_per_step * options.compute_scale,
         /*salt=*/7);
 

@@ -45,7 +45,7 @@ class MacsioWorkload final : public Workload {
 
     for (unsigned dump = 0; dump < dumps; ++dump) {
       meter.phase_begin(trace::Phase::kOther);
-      detail::compute_phase(
+      compute_phase(
           mpi, params_.compute_seconds_per_dump * options.compute_scale,
           /*salt=*/dump);
 
@@ -74,7 +74,8 @@ class MacsioWorkload final : public Workload {
 
       if (options.include_log_writes) {
         for (unsigned l = 0; l < params_.log_writes_per_dump; ++l) {
-          detail::log_write(mpi, fs, log_path, params_.log_write_bytes);
+          log_write(mpi, fs, log_path, params_.log_write_bytes,
+                    /*create=*/{}, /*settings_stripe=*/false);
         }
       }
     }

@@ -40,7 +40,7 @@ class VpicWorkload final : public Workload {
 
     for (unsigned step = 0; step < steps; ++step) {
       meter.phase_begin(trace::Phase::kOther);
-      detail::compute_phase(
+      compute_phase(
           mpi, params_.compute_seconds_per_step * options.compute_scale,
           /*salt=*/step);
 

@@ -3,15 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/rng.hpp"
-#include "replay/hooks.hpp"
 #include "workloads/detail.hpp"
 
 namespace tunio::wl::detail {
-
-double jitter(unsigned rank, unsigned salt) {
-  return compute_jitter(rank, salt);
-}
 
 unsigned reduce_iterations(unsigned original, double loop_scale) {
   if (loop_scale >= 1.0) return original;
@@ -28,35 +22,6 @@ pfs::CreateOptions create_options(const cfg::StackSettings& settings,
   pfs::CreateOptions create = settings.lustre;
   if (options.memory_tier) create.tier = pfs::Tier::kMemory;
   return create;
-}
-
-void compute_phase(mpisim::MpiSim& mpi, double seconds, unsigned salt) {
-  if (seconds <= 0.0) return;
-  replay::note_compute(seconds, salt);
-  for (unsigned r = 0; r < mpi.size(); ++r) {
-    mpi.compute(r, seconds * jitter(r, salt));
-  }
-  mpi.barrier();
-}
-
-void log_write(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
-               const std::string& log_path, Bytes bytes) {
-  replay::note_log_write(log_path, bytes, /*settings_stripe=*/false,
-                         /*memory_tier=*/false);
-  if (!fs.exists(log_path)) {
-    // Logs bypass striping: single-stripe files, as fopen would produce.
-    pfs::CreateOptions opts;
-    opts.stripe_count = 1;
-    fs.create(log_path, mpi.clock(0), opts);
-  }
-  // Buffered stdio: the bytes are staged and flushed asynchronously, so
-  // the writer only pays a library-call cost — but the operation and its
-  // bytes still reach the filesystem (and its counters), which is what
-  // Darshan-style monitoring sees.
-  const Bytes offset = fs.file_size(log_path);
-  const SimSeconds issued = mpi.clock(0);
-  fs.write(log_path, issued, offset, bytes);  // completion not awaited
-  mpi.compute(0, 5e-6);
 }
 
 }  // namespace tunio::wl::detail

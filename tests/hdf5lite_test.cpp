@@ -99,7 +99,7 @@ TEST(ChunkCache, PerRankKeysAreDistinct) {
 TEST(MetadataManager, RawAllocationHonorsAlignment) {
   mpisim::MpiSim mpi(4);
   pfs::PfsSimulator fs;
-  fs.create("/f", 0.0);
+  fs.create_file("/f", 0.0);
   FileAccessProps fapl;
   fapl.alignment = 1 * MiB;
   fapl.alignment_threshold = 64 * KiB;
@@ -115,7 +115,7 @@ TEST(MetadataManager, RawAllocationHonorsAlignment) {
 TEST(MetadataManager, MetaBlockAggregationReducesBlocks) {
   mpisim::MpiSim mpi(4);
   pfs::PfsSimulator fs;
-  fs.create("/f", 0.0);
+  fs.create_file("/f", 0.0);
   FileAccessProps small;
   small.meta_block_size = 2 * KiB;
   FileAccessProps large;
@@ -132,7 +132,7 @@ TEST(MetadataManager, MetaBlockAggregationReducesBlocks) {
 TEST(MetadataManager, EagerVsCollectiveMetadataWrites) {
   mpisim::MpiSim mpi(4);
   pfs::PfsSimulator fs;
-  fs.create("/f", 0.0);
+  fs.create_file("/f", 0.0);
   FileAccessProps eager;  // coll_metadata_write = false
   MetadataManager meta_eager(mpi, fs, "/f", eager);
   for (int i = 0; i < 10; ++i) meta_eager.meta_update(256);
@@ -156,7 +156,7 @@ TEST(MetadataManager, CollectiveLookupAvoidsMdsStorm) {
   auto misses_mds_ops = [](const FileAccessProps& fapl) {
     mpisim::MpiSim mpi(32);
     pfs::PfsSimulator fs;
-    fs.create("/f", 0.0);
+    fs.create_file("/f", 0.0);
     FileAccessProps tiny_cache = fapl;
     tiny_cache.mdc_nbytes = 0;  // force misses
     MetadataManager meta(mpi, fs, "/f", tiny_cache);
@@ -171,7 +171,7 @@ TEST(MetadataManager, CollectiveLookupAvoidsMdsStorm) {
 TEST(MetadataManager, MdcCacheAbsorbsLookups) {
   mpisim::MpiSim mpi(8);
   pfs::PfsSimulator fs;
-  fs.create("/f", 0.0);
+  fs.create_file("/f", 0.0);
   FileAccessProps big_cache;
   big_cache.mdc_nbytes = 64 * MiB;
   MetadataManager meta(mpi, fs, "/f", big_cache);

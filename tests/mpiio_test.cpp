@@ -21,7 +21,7 @@ TEST(MpiIoFile, OpenCreatesAndSynchronizes) {
   pfs::PfsSimulator fs;
   mpi.compute(3, 2.0);
   MpiIoFile file(mpi, fs, "/f", Hints{});
-  EXPECT_TRUE(fs.exists("/f"));
+  EXPECT_TRUE(fs.find_file("/f").has_value());
   // Open is collective: all ranks leave together, past the laggard.
   EXPECT_DOUBLE_EQ(mpi.min_clock(), mpi.max_clock());
   EXPECT_GE(mpi.min_clock(), 2.0);
@@ -32,9 +32,9 @@ TEST(MpiIoFile, OpenExistingDoesNotTruncateLayout) {
   pfs::PfsSimulator fs;
   pfs::CreateOptions wide;
   wide.stripe_count = 8;
-  fs.create("/pre", 0.0, wide);
+  const pfs::FileHandle pre = fs.create_file("/pre", 0.0, wide).handle;
   MpiIoFile file(mpi, fs, "/pre", Hints{});
-  EXPECT_EQ(fs.file_layout("/pre").stripe_count(), 8u);
+  EXPECT_EQ(fs.file_layout(pre).stripe_count(), 8u);
 }
 
 TEST(MpiIoFile, IndependentWriteAdvancesOnlyThatRank) {

@@ -90,21 +90,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PfsSimulator, CreateOpenRemove) {
   PfsSimulator fs;
-  EXPECT_FALSE(fs.exists("/a"));
-  fs.create("/a", 0.0);
-  EXPECT_TRUE(fs.exists("/a"));
-  EXPECT_NO_THROW(fs.open("/a", 0.0));
+  EXPECT_FALSE(fs.find_file("/a").has_value());
+  fs.create_file("/a", 0.0);
+  EXPECT_TRUE(fs.find_file("/a").has_value());
+  EXPECT_NO_THROW(fs.open_file("/a", 0.0));
   fs.remove("/a", 0.0);
-  EXPECT_FALSE(fs.exists("/a"));
-  EXPECT_THROW(fs.open("/a", 0.0), Error);
+  EXPECT_FALSE(fs.find_file("/a").has_value());
+  EXPECT_THROW(fs.open_file("/a", 0.0), Error);
 }
 
 TEST(PfsSimulator, WriteAdvancesTimeAndSize) {
   PfsSimulator fs;
-  fs.create("/f", 0.0);
-  const SimSeconds done = fs.write("/f", 1.0, 0, 8 * MiB);
+  const FileHandle f = fs.create_file("/f", 0.0).handle;
+  const SimSeconds done = fs.write(f, 1.0, 0, 8 * MiB);
   EXPECT_GT(done, 1.0);
-  EXPECT_EQ(fs.file_size("/f"), 8 * MiB);
+  EXPECT_EQ(fs.file_size(f), 8 * MiB);
   EXPECT_EQ(fs.counters().writes, 1u);
   EXPECT_EQ(fs.counters().bytes_written, 8 * MiB);
 }
@@ -116,33 +116,33 @@ TEST(PfsSimulator, WiderStripingIsFasterForLargeWrites) {
   narrow.stripe_count = 1;
   CreateOptions wide;
   wide.stripe_count = 16;
-  fs.create("/narrow", 0.0, narrow);
-  const SimSeconds narrow_done = fs.write("/narrow", 0.0, 0, 256 * MiB);
+  const FileHandle narrow_file = fs.create_file("/narrow", 0.0, narrow).handle;
+  const SimSeconds narrow_done = fs.write(narrow_file, 0.0, 0, 256 * MiB);
   fs.quiesce();
-  fs.create("/wide", 0.0, wide);
-  const SimSeconds wide_done = fs.write("/wide", 0.0, 0, 256 * MiB);
+  const FileHandle wide_file = fs.create_file("/wide", 0.0, wide).handle;
+  const SimSeconds wide_done = fs.write(wide_file, 0.0, 0, 256 * MiB);
   EXPECT_LT(wide_done, narrow_done);
 }
 
 TEST(PfsSimulator, UnalignedWritePaysRmw) {
   PfsSimulator fs;
-  fs.create("/aligned", 0.0);
-  fs.create("/unaligned", 0.0);
+  const FileHandle aligned = fs.create_file("/aligned", 0.0).handle;
+  const FileHandle unaligned = fs.create_file("/unaligned", 0.0).handle;
   // Aligned full-block write: no RMW bytes.
-  fs.write("/aligned", 0.0, 0, 1 * MiB);
+  fs.write(aligned, 0.0, 0, 1 * MiB);
   EXPECT_EQ(fs.counters().rmw_bytes, 0u);
   // A non-sequential partial-block write must pre-read.
-  fs.write("/unaligned", 0.0, 512 * KiB, 4 * KiB);
+  fs.write(unaligned, 0.0, 512 * KiB, 4 * KiB);
   EXPECT_GT(fs.counters().rmw_bytes, 0u);
 }
 
 TEST(PfsSimulator, SequentialAppendsSkipRmw) {
   PfsSimulator fs;
-  fs.create("/log", 0.0);
-  SimSeconds t = fs.write("/log", 0.0, 0, 512);
+  const FileHandle log = fs.create_file("/log", 0.0).handle;
+  SimSeconds t = fs.write(log, 0.0, 0, 512);
   const Bytes before = fs.counters().rmw_bytes;
   for (int i = 1; i < 50; ++i) {
-    t = fs.write("/log", t, i * 512ull, 512);
+    t = fs.write(log, t, i * 512ull, 512);
   }
   // Streaming appends are absorbed by the page-cache model: no pre-reads.
   EXPECT_EQ(fs.counters().rmw_bytes, before);
@@ -153,10 +153,10 @@ TEST(PfsSimulator, ContentionSerializesOnOneOst) {
   PfsSimulator fs(profile);
   CreateOptions one;
   one.stripe_count = 1;
-  fs.create("/hot", 0.0, one);
+  const FileHandle hot = fs.create_file("/hot", 0.0, one).handle;
   // Two writes "issued at the same time" to the same OST must serialize.
-  const SimSeconds first = fs.write("/hot", 0.0, 0, 64 * MiB);
-  const SimSeconds second = fs.write("/hot", 0.0, 64 * MiB, 64 * MiB);
+  const SimSeconds first = fs.write(hot, 0.0, 0, 64 * MiB);
+  const SimSeconds second = fs.write(hot, 0.0, 64 * MiB, 64 * MiB);
   EXPECT_GT(second, first);
 }
 
@@ -164,9 +164,9 @@ TEST(PfsSimulator, MemoryTierBypassesOsts) {
   PfsSimulator fs;
   CreateOptions mem;
   mem.tier = Tier::kMemory;
-  fs.create("/shm/f", 0.0, mem);
-  EXPECT_EQ(fs.file_tier("/shm/f"), Tier::kMemory);
-  const SimSeconds done = fs.write("/shm/f", 0.0, 0, 64 * MiB);
+  const FileHandle shm = fs.create_file("/shm/f", 0.0, mem).handle;
+  EXPECT_EQ(fs.file_tier(shm), Tier::kMemory);
+  const SimSeconds done = fs.write(shm, 0.0, 0, 64 * MiB);
   // Memory tier leaves OST timelines untouched.
   for (const SimSeconds busy : fs.ost_busy_times()) {
     EXPECT_DOUBLE_EQ(busy, 0.0);
@@ -174,19 +174,22 @@ TEST(PfsSimulator, MemoryTierBypassesOsts) {
   // And it is much faster than a single-stripe disk write of this size.
   CreateOptions one_stripe;
   one_stripe.stripe_count = 1;
-  fs.create("/disk/f", 0.0, one_stripe);
-  const SimSeconds disk_done = fs.write("/disk/f", 0.0, 0, 64 * MiB);
+  const FileHandle disk = fs.create_file("/disk/f", 0.0, one_stripe).handle;
+  const SimSeconds disk_done = fs.write(disk, 0.0, 0, 64 * MiB);
   EXPECT_LT(done, disk_done);
 }
 
 TEST(PfsSimulator, ReadCountersAndMissingFile) {
   PfsSimulator fs;
-  fs.create("/r", 0.0);
-  fs.write("/r", 0.0, 0, 1 * MiB);
-  fs.read("/r", 10.0, 0, 1 * MiB);
+  const FileHandle r = fs.create_file("/r", 0.0).handle;
+  fs.write(r, 0.0, 0, 1 * MiB);
+  fs.read(r, 10.0, 0, 1 * MiB);
   EXPECT_EQ(fs.counters().reads, 1u);
   EXPECT_EQ(fs.counters().bytes_read, 1 * MiB);
-  EXPECT_THROW(fs.read("/missing", 0.0, 0, 1), Error);
+  // A missing file yields no handle, and a handle never issued reads
+  // nothing.
+  EXPECT_THROW(fs.open_file("/missing", 0.0), Error);
+  EXPECT_THROW(fs.read(r + 1, 0.0, 0, 1), Error);
 }
 
 TEST(PfsSimulator, MetadataOpsContend) {
@@ -199,21 +202,21 @@ TEST(PfsSimulator, MetadataOpsContend) {
 
 TEST(PfsSimulator, ResetClearsEverything) {
   PfsSimulator fs;
-  fs.create("/x", 0.0);
-  fs.write("/x", 0.0, 0, 1 * MiB);
+  const FileHandle x = fs.create_file("/x", 0.0).handle;
+  fs.write(x, 0.0, 0, 1 * MiB);
   fs.reset();
-  EXPECT_FALSE(fs.exists("/x"));
+  EXPECT_FALSE(fs.find_file("/x").has_value());
   EXPECT_EQ(fs.counters().writes, 0u);
   EXPECT_EQ(fs.counters().metadata_ops, 0u);
 }
 
 TEST(PfsSimulator, QuiesceKeepsFilesAndCounters) {
   PfsSimulator fs;
-  fs.create("/x", 0.0);
-  fs.write("/x", 0.0, 0, 1 * MiB);
+  const FileHandle x = fs.create_file("/x", 0.0).handle;
+  fs.write(x, 0.0, 0, 1 * MiB);
   const auto writes_before = fs.counters().writes;
   fs.quiesce();
-  EXPECT_TRUE(fs.exists("/x"));
+  EXPECT_TRUE(fs.find_file("/x").has_value());
   EXPECT_EQ(fs.counters().writes, writes_before);
   // Timelines rewound: a new op starts from t=0 contention-free.
   const SimSeconds done = fs.metadata_op(0.0);
@@ -243,10 +246,10 @@ TEST(SizeHistogram, BucketsAndLabels) {
 
 TEST(PfsSimulator, CountersRecordAccessSizes) {
   PfsSimulator fs;
-  fs.create("/h", 0.0);
-  fs.write("/h", 0.0, 0, 512);
-  fs.write("/h", 0.0, 512, 8 * MiB);
-  fs.read("/h", 1.0, 0, 32 * KiB);
+  const FileHandle h = fs.create_file("/h", 0.0).handle;
+  fs.write(h, 0.0, 0, 512);
+  fs.write(h, 0.0, 512, 8 * MiB);
+  fs.read(h, 1.0, 0, 32 * KiB);
   EXPECT_EQ(fs.counters().write_sizes.counts[0], 1u);
   EXPECT_EQ(fs.counters().write_sizes.counts[3], 1u);
   EXPECT_EQ(fs.counters().read_sizes.counts[1], 1u);
@@ -258,10 +261,10 @@ TEST(PfsSimulator, TeardownFlushReportsLargestWrite) {
   registry.reset();
   {
     PfsSimulator fs;
-    fs.create("/m", 0.0);
-    fs.write("/m", 0.0, 0, 3 * MiB);
-    fs.write("/m", 0.0, 3 * MiB, 512);
-    fs.write("/m", 0.0, 4 * MiB, 40 * KiB);
+    const FileHandle m = fs.create_file("/m", 0.0).handle;
+    fs.write(m, 0.0, 0, 3 * MiB);
+    fs.write(m, 0.0, 3 * MiB, 512);
+    fs.write(m, 0.0, 4 * MiB, 40 * KiB);
   }
   const obs::MetricsSnapshot snap = registry.snapshot();
   const obs::MetricsSnapshot::HistogramValue* writes =
@@ -275,10 +278,9 @@ TEST(PfsSimulator, RoundRobinOstPlacementSpreadsFiles) {
   PfsSimulator fs;
   CreateOptions one;
   one.stripe_count = 1;
-  fs.create("/a", 0.0, one);
-  fs.create("/b", 0.0, one);
-  EXPECT_NE(fs.file_layout("/a").ost_offset(),
-            fs.file_layout("/b").ost_offset());
+  const FileHandle a = fs.create_file("/a", 0.0, one).handle;
+  const FileHandle b = fs.create_file("/b", 0.0, one).handle;
+  EXPECT_NE(fs.file_layout(a).ost_offset(), fs.file_layout(b).ost_offset());
 }
 
 /// Property: time to write N bytes is monotone non-decreasing in N.
@@ -291,8 +293,8 @@ TEST_P(PfsMonotoneProperty, WriteTimeMonotoneInSize) {
     PfsSimulator fs;
     CreateOptions opts;
     opts.stripe_count = stripes;
-    fs.create("/m", 0.0, opts);
-    const SimSeconds done = fs.write("/m", 0.0, 0, size);
+    const FileHandle m = fs.create_file("/m", 0.0, opts).handle;
+    const SimSeconds done = fs.write(m, 0.0, 0, size);
     EXPECT_GE(done, previous);
     previous = done;
   }
@@ -319,22 +321,29 @@ TEST(StripeLayout, VisitorMatchesSplit) {
   }
 }
 
-TEST(PfsSimulator, HandleApiMatchesPathApi) {
-  PfsSimulator by_path;
-  PfsSimulator by_handle;
-  by_path.create("/h", 0.0);
-  const OpenResult opened = by_handle.create_file("/h", 0.0);
+TEST(PfsSimulator, OpenedHandleMatchesCreatedHandle) {
+  // A handle resolved again by open_file addresses the same file as the
+  // one create_file returned: same data-path timing, size and counters.
+  PfsSimulator by_open;
+  PfsSimulator by_create;
+  const OpenResult created_first = by_open.create_file("/h", 0.0);
+  const OpenResult reopened = by_open.open_file("/h", 0.0);
+  EXPECT_EQ(reopened.handle, created_first.handle);
+  const OpenResult created = by_create.create_file("/h", 0.0);
   for (int i = 0; i < 4; ++i) {
     const Bytes offset = static_cast<Bytes>(i) * 3 * MiB;
-    const SimSeconds a = by_path.write("/h", 1.0 + i, offset, 3 * MiB);
-    const SimSeconds b = by_handle.write(opened.handle, 1.0 + i, offset, 3 * MiB);
+    const SimSeconds a =
+        by_open.write(reopened.handle, 1.0 + i, offset, 3 * MiB);
+    const SimSeconds b =
+        by_create.write(created.handle, 1.0 + i, offset, 3 * MiB);
     EXPECT_EQ(a, b);
   }
-  EXPECT_EQ(by_path.read("/h", 10.0, 1 * MiB, 4 * MiB),
-            by_handle.read(opened.handle, 10.0, 1 * MiB, 4 * MiB));
-  EXPECT_EQ(by_path.file_size("/h"), by_handle.file_size(opened.handle));
-  EXPECT_EQ(by_path.counters().bytes_written,
-            by_handle.counters().bytes_written);
+  EXPECT_EQ(by_open.read(reopened.handle, 10.0, 1 * MiB, 4 * MiB),
+            by_create.read(created.handle, 10.0, 1 * MiB, 4 * MiB));
+  EXPECT_EQ(by_open.file_size(reopened.handle),
+            by_create.file_size(created.handle));
+  EXPECT_EQ(by_open.counters().bytes_written,
+            by_create.counters().bytes_written);
 }
 
 TEST(PfsSimulator, FindFileChargesNoMetadataOp) {
@@ -352,10 +361,10 @@ TEST(PfsSimulator, CreateOnExistingPathTruncates) {
   PfsSimulator fs;
   const OpenResult first = fs.create_file("/t", 0.0);
   fs.write(first.handle, 0.0, 0, 4 * MiB);
-  EXPECT_EQ(fs.file_size("/t"), 4 * MiB);
+  EXPECT_EQ(fs.file_size(*fs.find_file("/t")), 4 * MiB);
   const OpenResult again = fs.create_file("/t", 1.0);
   EXPECT_EQ(again.handle, first.handle);  // slot reused
-  EXPECT_EQ(fs.file_size("/t"), 0u);
+  EXPECT_EQ(fs.file_size(*fs.find_file("/t")), 0u);
 }
 
 TEST(PfsSimulator, RemovedFileStaysUsableThroughHandle) {
@@ -365,7 +374,7 @@ TEST(PfsSimulator, RemovedFileStaysUsableThroughHandle) {
   const OpenResult opened = fs.create_file("/u", 0.0);
   fs.write(opened.handle, 0.0, 0, 1 * MiB);
   fs.remove("/u", 1.0);
-  EXPECT_FALSE(fs.exists("/u"));
+  EXPECT_FALSE(fs.find_file("/u").has_value());
   EXPECT_NO_THROW(fs.write(opened.handle, 2.0, 1 * MiB, 1 * MiB));
   EXPECT_EQ(fs.file_size(opened.handle), 2 * MiB);
 }

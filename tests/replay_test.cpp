@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -151,10 +152,15 @@ TEST(Recorder, CapturesInterpreterRun) {
 
 // --- differential replay vs interpretation --------------------------------
 
+/// Stack settings to replay under, each with a label for failure messages.
+using LabelledSettings =
+    std::vector<std::pair<std::string, cfg::StackSettings>>;
+
 /// Records one interpreted run at default settings, then checks that
-/// replaying the trace under several other configurations is bit-identical
-/// to interpreting the program under those configurations.
-void expect_replay_matches_interp(const minic::Program& program) {
+/// replaying the trace under each of `targets` is bit-identical to
+/// interpreting the program under those settings.
+void expect_replay_matches_interp(const minic::Program& program,
+                                  const LabelledSettings& targets) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
   replay::Recorder recorder;
   {
@@ -167,8 +173,7 @@ void expect_replay_matches_interp(const minic::Program& program) {
   ASSERT_TRUE(recorder.valid()) << recorder.error();
   const replay::OpTrace trace = recorder.take();
 
-  for (const cfg::Configuration& config : varied_configs(space, 4)) {
-    const cfg::StackSettings settings = cfg::resolve(config);
+  for (const auto& [label, settings] : targets) {
     mpisim::MpiSim interp_mpi(kRanks);
     pfs::PfsSimulator interp_fs;
     const interp::InterpResult want =
@@ -178,10 +183,20 @@ void expect_replay_matches_interp(const minic::Program& program) {
     const replay::ReplayResult got =
         replay::replay(trace, replay_mpi, replay_fs, settings);
     EXPECT_TRUE(replay::bit_identical(want.perf, got.perf))
-        << "perf diverged at " << config.to_string();
+        << "perf diverged at " << label;
     EXPECT_TRUE(same_bits(want.sim_seconds, got.sim_seconds))
-        << "sim time diverged at " << config.to_string();
+        << "sim time diverged at " << label;
   }
+}
+
+/// The same check under several deterministically varied configurations.
+void expect_replay_matches_interp(const minic::Program& program) {
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  LabelledSettings targets;
+  for (const cfg::Configuration& config : varied_configs(space, 4)) {
+    targets.emplace_back(config.to_string(), cfg::resolve(config));
+  }
+  expect_replay_matches_interp(program, targets);
 }
 
 TEST(ReplayDifferential, VpicSource) {
@@ -216,9 +231,67 @@ TEST(ReplayDifferential, DiscoveredKernels) {
   }
 }
 
-/// Records a native workload driver's run and checks replay matches a
-/// fresh driver run under other configurations.
-void expect_replay_matches_driver(const std::string& name) {
+/// Rank 0 appends to a stdio log between two collective writes of one
+/// dataset, with no compute in between: a log on disk still has appends
+/// queued on its OST when the second write needs that OST.
+const char* kLoggingProgram = R"(
+int main() {
+  int f = h5fcreate("/scratch/logged.h5");
+  int d = h5dcreate(f, "x", 8, 4096 * mpi_size());
+  h5dwrite_all(d, 4096);
+  for (int i = 0; i < 40; i = i + 1) {
+    fprintf_log("/scratch/run.log", 3000);
+  }
+  h5dwrite_all(d, 4096);
+  compute(0.01);
+  h5fclose(f);
+  return 0;
+}
+)";
+
+TEST(ReplayDifferential, LogWritesUnderPathSwitchingAndTunedStripes) {
+  // Replay must build each log from the settings and tier it runs under,
+  // not the recorded ones. Striping the dataset over the whole OST pool
+  // puts a disk log on an OST the dataset uses.
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  const cfg::StackSettings defaults =
+      cfg::resolve(space.default_configuration());
+  LabelledSettings targets;
+  for (const Bytes stripe_size : {64 * KiB, 16 * MiB}) {
+    cfg::StackSettings tuned = defaults;
+    tuned.lustre.stripe_size = stripe_size;
+    tuned.lustre.stripe_count = pfs::PfsProfile{}.num_osts;
+    targets.emplace_back("stripe size " + std::to_string(stripe_size), tuned);
+  }
+  const std::string source = kLoggingProgram;
+  {
+    SCOPED_TRACE("as written: disk log");
+    expect_replay_matches_interp(minic::parse(source), targets);
+  }
+  {
+    // The log path as I/O Path Switching rewrites it; the dataset stays
+    // on disk.
+    SCOPED_TRACE("memory-tier log beside a disk dataset");
+    std::string switched_log = source;
+    switched_log.insert(switched_log.find("/scratch/run.log"),
+                        discovery::kMemoryPathPrefix);
+    expect_replay_matches_interp(minic::parse(switched_log), targets);
+  }
+  discovery::DiscoveryOptions options;
+  options.io_prefixes = {"h5", "fprintf_log"};  // keep the log
+  options.path_switching = true;
+  const discovery::KernelResult kernel =
+      discovery::discover_io(source, options);
+  ASSERT_NE(kernel.kernel_source.find("fprintf_log(\"/shm/"),
+            std::string::npos);
+  SCOPED_TRACE("path-switched kernel");
+  expect_replay_matches_interp(kernel.kernel, targets);
+}
+
+/// Records a native workload driver's run under `options` and checks
+/// replay matches a fresh driver run under other configurations.
+void expect_replay_matches_driver(const std::string& name,
+                                  const wl::RunOptions& options = {}) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
   const std::shared_ptr<const wl::Workload> workload = small_workload(name);
   replay::Recorder recorder;
@@ -226,7 +299,8 @@ void expect_replay_matches_driver(const std::string& name) {
     mpisim::MpiSim mpi(kRanks);
     pfs::PfsSimulator fs;
     replay::RecordScope scope(recorder);
-    workload->run(mpi, fs, cfg::resolve(space.default_configuration()), {});
+    workload->run(mpi, fs, cfg::resolve(space.default_configuration()),
+                  options);
   }
   ASSERT_TRUE(recorder.valid()) << recorder.error();
   const replay::OpTrace trace = recorder.take();
@@ -236,7 +310,7 @@ void expect_replay_matches_driver(const std::string& name) {
     mpisim::MpiSim driver_mpi(kRanks);
     pfs::PfsSimulator driver_fs;
     const wl::RunResult want =
-        workload->run(driver_mpi, driver_fs, settings, {});
+        workload->run(driver_mpi, driver_fs, settings, options);
     mpisim::MpiSim replay_mpi(kRanks);
     pfs::PfsSimulator replay_fs;
     const replay::ReplayResult got =
@@ -252,6 +326,24 @@ TEST(ReplayDifferential, NativeDrivers) {
   for (const char* name : kWorkloadNames) {
     SCOPED_TRACE(name);
     expect_replay_matches_driver(name);
+  }
+}
+
+TEST(ReplayDifferential, NativeDriversUnderRunOptions) {
+  wl::RunOptions memory_tier;
+  memory_tier.memory_tier = true;
+  wl::RunOptions loop_reduced;
+  loop_reduced.loop_scale = 0.01;
+  wl::RunOptions no_logs;
+  no_logs.include_log_writes = false;
+  for (const auto& [label, options] :
+       {std::pair<const char*, wl::RunOptions>{"memory_tier", memory_tier},
+        {"loop_scale 0.01", loop_reduced},
+        {"no log writes", no_logs}}) {
+    for (const char* name : kWorkloadNames) {
+      SCOPED_TRACE(std::string(name) + ", " + label);
+      expect_replay_matches_driver(name, options);
+    }
   }
 }
 

@@ -18,11 +18,11 @@ TEST(PerfObjective, Formula) {
 TEST(RunMeter, WriteOnlyRun) {
   mpisim::MpiSim mpi(4);
   pfs::PfsSimulator fs;
-  fs.create("/f", 0.0);
+  const pfs::FileHandle f = fs.create_file("/f", 0.0).handle;
   RunMeter meter(mpi, fs);
   meter.begin();
   meter.phase_begin(Phase::kWrite);
-  const SimSeconds done = fs.write("/f", 0.0, 0, 100 * MiB);
+  const SimSeconds done = fs.write(f, 0.0, 0, 100 * MiB);
   for (unsigned r = 0; r < mpi.size(); ++r) mpi.set_clock(r, done);
   const PerfResult result = meter.end();
   EXPECT_DOUBLE_EQ(result.alpha, 1.0);
@@ -37,7 +37,7 @@ TEST(RunMeter, WriteOnlyRun) {
 TEST(RunMeter, MixedPhasesSplitTime) {
   mpisim::MpiSim mpi(2);
   pfs::PfsSimulator fs;
-  fs.create("/f", 0.0);
+  const pfs::FileHandle f = fs.create_file("/f", 0.0).handle;
   RunMeter meter(mpi, fs);
   meter.begin();
 
@@ -46,11 +46,11 @@ TEST(RunMeter, MixedPhasesSplitTime) {
   mpi.barrier();
 
   meter.phase_begin(Phase::kWrite);
-  SimSeconds t = fs.write("/f", mpi.max_clock(), 0, 10 * MiB);
+  SimSeconds t = fs.write(f, mpi.max_clock(), 0, 10 * MiB);
   for (unsigned r = 0; r < 2; ++r) mpi.set_clock(r, t);
 
   meter.phase_begin(Phase::kRead);
-  t = fs.read("/f", mpi.max_clock(), 0, 10 * MiB);
+  t = fs.read(f, mpi.max_clock(), 0, 10 * MiB);
   for (unsigned r = 0; r < 2; ++r) mpi.set_clock(r, t);
 
   const PerfResult result = meter.end();
@@ -68,10 +68,10 @@ TEST(RunMeter, MixedPhasesSplitTime) {
 TEST(RunMeter, UnphasedRunFallsBackToWholeRunBandwidth) {
   mpisim::MpiSim mpi(2);
   pfs::PfsSimulator fs;
-  fs.create("/f", 0.0);
+  const pfs::FileHandle f = fs.create_file("/f", 0.0).handle;
   RunMeter meter(mpi, fs);
   meter.begin();
-  const SimSeconds done = fs.write("/f", 0.0, 0, 10 * MiB);
+  const SimSeconds done = fs.write(f, 0.0, 0, 10 * MiB);
   for (unsigned r = 0; r < 2; ++r) mpi.set_clock(r, done);
   const PerfResult result = meter.end();
   EXPECT_GT(result.bw_write_mbps, 0.0);
@@ -81,12 +81,12 @@ TEST(RunMeter, UnphasedRunFallsBackToWholeRunBandwidth) {
 TEST(RunMeter, UnphasedBandwidthUsesIoWindowNotElapsed) {
   mpisim::MpiSim mpi(2);
   pfs::PfsSimulator fs;
-  fs.create("/f", 0.0);
+  const pfs::FileHandle f = fs.create_file("/f", 0.0).handle;
   RunMeter meter(mpi, fs);
   meter.begin();
   mpi.compute(0, 100.0);  // long unphased compute before the I/O
   const SimSeconds start = mpi.max_clock();
-  const SimSeconds done = fs.write("/f", start, 0, 10 * MiB);
+  const SimSeconds done = fs.write(f, start, 0, 10 * MiB);
   for (unsigned r = 0; r < 2; ++r) mpi.set_clock(r, done);
   const PerfResult result = meter.end();
   // The observer-collected window excludes the compute prefix, so the
@@ -103,12 +103,12 @@ TEST(RunMeter, UnphasedBandwidthUsesIoWindowNotElapsed) {
 TEST(RunMeter, OnlyCountsItsOwnWindow) {
   mpisim::MpiSim mpi(2);
   pfs::PfsSimulator fs;
-  fs.create("/f", 0.0);
-  fs.write("/f", 0.0, 0, 50 * MiB);  // before metering
+  const pfs::FileHandle f = fs.create_file("/f", 0.0).handle;
+  fs.write(f, 0.0, 0, 50 * MiB);  // before metering
   RunMeter meter(mpi, fs);
   meter.begin();
   meter.phase_begin(Phase::kWrite);
-  const SimSeconds done = fs.write("/f", 100.0, 50 * MiB, 1 * MiB);
+  const SimSeconds done = fs.write(f, 100.0, 50 * MiB, 1 * MiB);
   for (unsigned r = 0; r < 2; ++r) mpi.set_clock(r, done);
   const PerfResult result = meter.end();
   EXPECT_EQ(result.counters.bytes_written, 1 * MiB);  // delta only
@@ -138,12 +138,12 @@ TEST(RunMeter, ZeroIoRunHasZeroPerf) {
 TEST(Report, RendersCountersAndHistograms) {
   mpisim::MpiSim mpi(2);
   pfs::PfsSimulator fs;
-  fs.create("/f", 0.0);
+  const pfs::FileHandle f = fs.create_file("/f", 0.0).handle;
   RunMeter meter(mpi, fs);
   meter.begin();
   meter.phase_begin(Phase::kWrite);
-  SimSeconds t = fs.write("/f", 0.0, 0, 8 * MiB);
-  t = fs.write("/f", t, 8 * MiB, 512);
+  SimSeconds t = fs.write(f, 0.0, 0, 8 * MiB);
+  t = fs.write(f, t, 8 * MiB, 512);
   for (unsigned r = 0; r < 2; ++r) mpi.set_clock(r, t);
   const PerfResult result = meter.end();
 

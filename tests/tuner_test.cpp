@@ -259,9 +259,9 @@ TEST(GeneticTuner, SubsetMaskFreezesOtherGenes) {
   EXPECT_GT(free_run.best_perf, masked.best_perf);
 }
 
-/// Every perf is below -1 (a negated cost, say). Bests start at -1, so
-/// no configuration becomes the search's best and the subset mask has no
-/// elite to freeze genes at.
+/// Every perf is below -1 (a negated cost, say). The first observation
+/// still sets the search's best, so the subset mask has an elite to
+/// freeze genes at.
 class NegativeObjective final : public Objective {
  public:
   std::string name() const override { return "negative"; }
@@ -278,7 +278,7 @@ class NegativeObjective final : public Objective {
   std::uint64_t evals_ = 0;
 };
 
-TEST(GeneticTuner, SubsetMaskWithoutABestConfigurationStillBreeds) {
+TEST(GeneticTuner, SubsetMaskBreedsWhenEveryPerfIsNegative) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
   NegativeObjective objective;
   GaOptions ga;
@@ -290,6 +290,8 @@ TEST(GeneticTuner, SubsetMaskWithoutABestConfigurationStillBreeds) {
   });
   const TuningResult result = tuners::drive(tuner, objective).tuning;
   EXPECT_EQ(result.generations_run, 4u);
+  ASSERT_TRUE(result.best_config.has_value());
+  EXPECT_LT(result.best_perf, -1.0);
 }
 
 TEST(GeneticTuner, StopperTerminatesRun) {

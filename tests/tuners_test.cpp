@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -547,6 +548,51 @@ TEST(Driver, ReportsInitialPerfFromFirstConfiguration) {
   const double default_perf =
       probe.evaluate(space.default_configuration()).perf_mbps;
   EXPECT_DOUBLE_EQ(run.tuning.initial_perf, default_perf);
+}
+
+/// A cost to minimise, reported as its negation, so every perf is below
+/// -1. Keeps every evaluation it served.
+class NegatedCostObjective final : public tuner::Objective {
+ public:
+  std::string name() const override { return "negated-cost"; }
+  tuner::Evaluation evaluate(const cfg::Configuration& config) override {
+    const double stripes =
+        static_cast<double>(config.value("striping_factor"));
+    tuner::Evaluation eval;
+    eval.perf_mbps = -(10.0 + std::abs(stripes - 32.0));
+    eval.eval_seconds = 30.0;
+    served.emplace_back(config, eval.perf_mbps);
+    return eval;
+  }
+  std::uint64_t evaluations() const override { return served.size(); }
+
+  std::vector<std::pair<cfg::Configuration, double>> served;
+};
+
+TEST(Driver, ReportsTrueBestWhenEveryPerfIsBelowMinusOne) {
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  NegatedCostObjective objective;
+  RandomTuner random(space, {});
+  DriveOptions options;
+  options.max_iterations = 3;
+  const DriveResult run = drive(random, objective, options);
+
+  ASSERT_FALSE(objective.served.empty());
+  auto best = objective.served.front();
+  for (const auto& served : objective.served) {
+    if (served.second > best.second) best = served;
+  }
+  EXPECT_LT(best.second, -1.0);
+  EXPECT_EQ(run.tuning.best_perf, best.second);
+  ASSERT_TRUE(run.tuning.best_config.has_value());
+  EXPECT_EQ(run.tuning.best_config->indices(), best.first.indices());
+  EXPECT_EQ(run.tuning.initial_perf, objective.served.front().second);
+  ASSERT_EQ(run.tuning.history.size(), 3u);
+  for (const tuner::GenerationStats& stats : run.tuning.history) {
+    EXPECT_LT(stats.generation_best_perf, -1.0);
+    EXPECT_LE(stats.generation_best_perf, stats.best_perf);
+  }
+  EXPECT_EQ(run.tuning.history.back().best_perf, best.second);
 }
 
 /// `tuner.eval.batches` / `tuner.eval.requested` count what the search
