@@ -114,7 +114,9 @@ Configuration ConfigSpace::default_configuration() const {
   return Configuration(this, std::move(indices));
 }
 
-ConfigSpace ConfigSpace::tunio12() {
+namespace {
+
+ConfigSpace make_tunio12() {
   // Values chosen so the product of domain sizes is
   // 8*9*8*8*3*8*8*10*8*8*2*2 = 2,264,924,160 > 2.18e9, matching §IV.
   std::vector<Parameter> params;
@@ -193,6 +195,13 @@ ConfigSpace ConfigSpace::tunio12() {
                     "collective metadata writes"});
 
   return ConfigSpace(std::move(params));
+}
+
+}  // namespace
+
+const ConfigSpace& ConfigSpace::tunio12() {
+  static const ConfigSpace space = make_tunio12();
+  return space;
 }
 
 }  // namespace tunio::cfg

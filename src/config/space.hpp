@@ -65,8 +65,9 @@ class ConfigSpace {
   explicit ConfigSpace(std::vector<Parameter> parameters);
 
   /// The canonical 12-parameter space of the paper's evaluation
-  /// (HDF5 + MPI-IO + Lustre; > 2.18e9 permutations).
-  static ConfigSpace tunio12();
+  /// (HDF5 + MPI-IO + Lustre; > 2.18e9 permutations). One static
+  /// instance, so configurations drawn from it never dangle.
+  static const ConfigSpace& tunio12();
 
   std::size_t num_parameters() const { return parameters_.size(); }
   const Parameter& parameter(std::size_t i) const;

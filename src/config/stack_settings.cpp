@@ -40,8 +40,7 @@ StackSettings resolve(const Configuration& config) {
 }
 
 StackSettings default_settings() {
-  const ConfigSpace space = ConfigSpace::tunio12();
-  return resolve(space.default_configuration());
+  return resolve(ConfigSpace::tunio12().default_configuration());
 }
 
 }  // namespace tunio::cfg

@@ -23,8 +23,9 @@ File::File(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs, std::string path,
   meta_.meta_update(kSuperblockBytes);
   // Only the memory-tier choice is the caller's; the striping/hints all
   // came from the settings and get re-substituted at replay.
-  replay::note_file_ctor(this, path_,
-                         create_options.tier == pfs::Tier::kMemory);
+  if (replay::Recorder* rec = replay::active_recorder()) {
+    rec->on_file_ctor(this, path_, create_options.tier == pfs::Tier::kMemory);
+  }
 }
 
 File::~File() {
@@ -49,8 +50,10 @@ Dataset& File::create_dataset(const std::string& name, Bytes elem_size,
   datasets_.emplace(name, std::move(dataset));
   // Record the caller's (pre-clamp) chunk request; the cache props come
   // from the settings and get re-substituted at replay.
-  replay::note_dataset_create(this, &ref, name, elem_size, num_elements,
-                              dcpl.chunk_elements.value_or(0));
+  if (replay::Recorder* rec = replay::active_recorder()) {
+    rec->on_dataset_create(this, &ref, name, elem_size, num_elements,
+                           dcpl.chunk_elements.value_or(0));
+  }
   return ref;
 }
 
@@ -65,7 +68,9 @@ bool File::has_dataset(const std::string& name) const {
 }
 
 void File::flush() {
-  replay::note_file_flush(this);
+  if (replay::Recorder* rec = replay::active_recorder()) {
+    rec->on_file_flush(this);
+  }
   // One kFileFlush op stands for the whole composite; the per-dataset
   // flushes below must not record themselves.
   replay::SuppressScope suppress;
@@ -75,7 +80,9 @@ void File::flush() {
 
 void File::close() {
   if (closed_) return;
-  replay::note_file_close(this);
+  if (replay::Recorder* rec = replay::active_recorder()) {
+    rec->on_file_close(this);
+  }
   replay::SuppressScope suppress;
   for (auto& [name, dataset] : datasets_) dataset->close();
   // Superblock is rewritten on close (end-of-allocation update).

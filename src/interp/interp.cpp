@@ -466,7 +466,7 @@ class Interpreter {
       // Recorded after the phase op so the replayed write (and its stdio
       // library cost) lands in the write phase, as it does here.
       wl::log_write(mpi_, fs_, path, static_cast<Bytes>(as_int(args[1], line)),
-                    create, /*settings_stripe=*/true);
+                    create.tier == pfs::Tier::kMemory);
       meter_.phase_begin(trace::Phase::kOther);
       return std::int64_t{0};
     }
@@ -482,7 +482,7 @@ class Interpreter {
     }
     if (name == "mpi_barrier") {
       need_args(call, 0);
-      replay::note_barrier();
+      if (replay::Recorder* rec = replay::active_recorder()) rec->on_barrier();
       mpi_.barrier();
       return std::int64_t{0};
     }

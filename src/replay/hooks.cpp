@@ -91,12 +91,11 @@ void Recorder::on_dataset_io(const void* dataset, bool is_write,
 }
 
 void Recorder::on_log_write(const std::string& path, Bytes bytes,
-                            bool settings_stripe, bool memory_tier) {
+                            bool memory_tier) {
   if (failed_) return;
   Op& op = push(OpKind::kLogWrite);
   op.text = path;
   op.a = bytes;
-  op.flag = settings_stripe;
   op.flag2 = memory_tier;
 }
 
@@ -144,78 +143,5 @@ bool Recorder::valid() const {
 }
 
 OpTrace Recorder::take() { return std::move(trace_); }
-
-namespace {
-Recorder* rec() { return detail::record_state().recorder; }
-}  // namespace
-
-void note_file_ctor(const void* file, const std::string& path,
-                    bool memory_tier) {
-  if (recording()) rec()->on_file_ctor(file, path, memory_tier);
-}
-
-void note_file_flush(const void* file) {
-  if (recording()) rec()->on_file_flush(file);
-}
-
-void note_file_close(const void* file) {
-  if (recording()) rec()->on_file_close(file);
-}
-
-void note_dataset_create(const void* file, const void* dataset,
-                         const std::string& name, Bytes elem_size,
-                         std::uint64_t num_elements,
-                         std::uint64_t chunk_elements) {
-  if (recording()) {
-    rec()->on_dataset_create(file, dataset, name, elem_size, num_elements,
-                             chunk_elements);
-  }
-}
-
-void note_dataset_flush(const void* dataset) {
-  if (recording()) rec()->on_dataset_flush(dataset);
-}
-
-void note_dataset_io(const void* dataset, bool is_write, bool collective,
-                     const Sel* sels, std::size_t count) {
-  if (recording()) {
-    rec()->on_dataset_io(dataset, is_write, collective, sels, count);
-  }
-}
-
-void note_log_write(const std::string& path, Bytes bytes, bool settings_stripe,
-                    bool memory_tier) {
-  if (recording()) {
-    rec()->on_log_write(path, bytes, settings_stripe, memory_tier);
-  }
-}
-
-void note_compute(double seconds, unsigned salt) {
-  if (recording()) rec()->on_compute(seconds, salt);
-}
-
-void note_barrier() {
-  if (recording()) rec()->on_barrier();
-}
-
-void note_mpi_reset() {
-  if (recording()) rec()->on_mpi_reset();
-}
-
-void note_fs_quiesce() {
-  if (recording()) rec()->on_fs_quiesce();
-}
-
-void note_meter_begin() {
-  if (recording()) rec()->on_meter_begin();
-}
-
-void note_phase(int phase) {
-  if (recording()) rec()->on_phase(phase);
-}
-
-void note_meter_end() {
-  if (recording()) rec()->on_meter_end();
-}
 
 }  // namespace tunio::replay

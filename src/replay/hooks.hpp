@@ -2,9 +2,12 @@
 //
 // The instrumented layers — hdf5lite's File/Dataset, trace::RunMeter,
 // the log and compute ops in `workloads/ops.hpp`, and the mini-C
-// interpreter's builtins — call the `note_*` functions below at each
-// application-level op. They are no-ops unless a `Recorder` is installed on the calling
-// thread (`RecordScope`), so the cost on unrecorded runs is one
+// interpreter's builtins — report each application-level op as
+//
+//   if (replay::Recorder* rec = replay::active_recorder()) rec->on_...(...);
+//
+// `active_recorder()` is null unless a `Recorder` is installed on the
+// calling thread (`RecordScope`), so the cost on unrecorded runs is one
 // thread-local load per *HDF5-level* call, nothing per PFS request.
 // Replayed runs never install a recorder, so replay cannot re-record
 // itself.
@@ -38,8 +41,7 @@ class Recorder {
   void on_dataset_flush(const void* dataset);
   void on_dataset_io(const void* dataset, bool is_write, bool collective,
                      const Sel* sels, std::size_t count);
-  void on_log_write(const std::string& path, Bytes bytes, bool settings_stripe,
-                    bool memory_tier);
+  void on_log_write(const std::string& path, Bytes bytes, bool memory_tier);
   void on_compute(double seconds, unsigned salt);
   void on_barrier();
   void on_mpi_reset();
@@ -89,11 +91,13 @@ inline RecordState& record_state() {
 }
 }  // namespace detail
 
-/// True when the calling thread should emit notes. Callers that must do
-/// work to assemble a note (e.g. converting selections) check this first.
-inline bool recording() {
+/// The recorder installed on the calling thread, or null when nothing
+/// records here or a `SuppressScope` mutes it. Call sites that must do
+/// work to assemble an op (e.g. converting selections) do it only when
+/// this is non-null.
+inline Recorder* active_recorder() {
   const detail::RecordState& state = detail::record_state();
-  return state.recorder != nullptr && state.suppress == 0;
+  return state.suppress == 0 ? state.recorder : nullptr;
 }
 
 /// Installs `recorder` on this thread for the scope's lifetime.
@@ -108,9 +112,9 @@ class RecordScope {
   Recorder* prev_;
 };
 
-/// Mutes notes for a scope — used by composite operations (File::flush,
-/// File::close) whose callees are themselves note sites, so one recorded
-/// op stands for the whole composite.
+/// Mutes recording for a scope — used by composite operations
+/// (File::flush, File::close) whose callees record themselves, so one
+/// recorded op stands for the whole composite.
 class SuppressScope {
  public:
   SuppressScope();
@@ -118,26 +122,5 @@ class SuppressScope {
   SuppressScope(const SuppressScope&) = delete;
   SuppressScope& operator=(const SuppressScope&) = delete;
 };
-
-void note_file_ctor(const void* file, const std::string& path,
-                    bool memory_tier);
-void note_file_flush(const void* file);
-void note_file_close(const void* file);
-void note_dataset_create(const void* file, const void* dataset,
-                         const std::string& name, Bytes elem_size,
-                         std::uint64_t num_elements,
-                         std::uint64_t chunk_elements);
-void note_dataset_flush(const void* dataset);
-void note_dataset_io(const void* dataset, bool is_write, bool collective,
-                     const Sel* sels, std::size_t count);
-void note_log_write(const std::string& path, Bytes bytes, bool settings_stripe,
-                    bool memory_tier);
-void note_compute(double seconds, unsigned salt);
-void note_barrier();
-void note_mpi_reset();
-void note_fs_quiesce();
-void note_meter_begin();
-void note_phase(int phase);
-void note_meter_end();
 
 }  // namespace tunio::replay

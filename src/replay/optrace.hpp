@@ -49,7 +49,7 @@ struct Sel {
 /// files/datasets in recorded order, so ids line up by construction.
 struct Op {
   OpKind kind = OpKind::kBarrier;
-  bool flag = false;   ///< kDatasetIo: is_write; kLogWrite: settings-striped
+  bool flag = false;   ///< kDatasetIo: is_write
   bool flag2 = false;  ///< kDatasetIo: collective; kFileCtor/kLogWrite: memory tier
   std::uint32_t id = 0;     ///< file id (kFile*, kDatasetCreate) or dataset id
   std::uint64_t a = 0;      ///< kDatasetCreate: elem_size; kLogWrite: bytes

@@ -79,13 +79,9 @@ class Executor {
         }
         return;
       }
-      case OpKind::kLogWrite: {
-        pfs::CreateOptions create =
-            op.flag ? settings_.lustre : pfs::CreateOptions{};
-        if (op.flag2) create.tier = pfs::Tier::kMemory;
-        wl::log_write(mpi_, fs_, op.text, op.a, create, op.flag);
+      case OpKind::kLogWrite:
+        wl::log_write(mpi_, fs_, op.text, op.a, op.flag2);
         return;
-      }
       case OpKind::kCompute:
         wl::compute_phase(mpi_, op.seconds, op.salt);
         return;

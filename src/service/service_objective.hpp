@@ -34,6 +34,9 @@ class ServiceObjective final : public tuner::Objective {
   std::vector<tuner::Evaluation> evaluate_batch(
       const std::vector<cfg::Configuration>& configs) override;
   bool concurrent_safe() const override { return inner_.concurrent_safe(); }
+  tuner::ReplayGate replay_gate() const override {
+    return inner_.replay_gate();
+  }
   /// Fresh (non-cached) evaluations only — cache hits run nothing.
   std::uint64_t evaluations() const override { return inner_.evaluations(); }
 

@@ -39,7 +39,7 @@ void RunMeter::on_io(const pfs::IoRequest& request) {
 
 void RunMeter::begin() {
   TUNIO_CHECK_MSG(!active_, "RunMeter::begin while active");
-  replay::note_meter_begin();
+  if (replay::Recorder* rec = replay::active_recorder()) rec->on_meter_begin();
   active_ = true;
   current_ = Phase::kOther;
   run_start_ = mpi_.max_clock();
@@ -80,14 +80,16 @@ void RunMeter::close_phase() {
 
 void RunMeter::phase_begin(Phase phase) {
   TUNIO_CHECK_MSG(active_, "RunMeter::phase_begin before begin");
-  replay::note_phase(static_cast<int>(phase));
+  if (replay::Recorder* rec = replay::active_recorder()) {
+    rec->on_phase(static_cast<int>(phase));
+  }
   close_phase();
   current_ = phase;
 }
 
 PerfResult RunMeter::end() {
   TUNIO_CHECK_MSG(active_, "RunMeter::end before begin");
-  replay::note_meter_end();
+  if (replay::Recorder* rec = replay::active_recorder()) rec->on_meter_end();
   close_phase();
   active_ = false;
   detach();

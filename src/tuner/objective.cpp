@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <bit>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "minic/parser.hpp"
 #include "obs/metrics.hpp"
@@ -99,12 +99,15 @@ class ObjectiveBase : public Objective {
   //
   //   kIdle --record--> kRecording --ok--> kRecorded --verify--> kVerifying
   //     --bit-identical--> kVerified (replay-only from here on)
-  //     --any mismatch / invalid trace--> kDisabled (interpret forever)
+  //     --mismatch / invalid trace / throw--> kDisabled (interpret forever)
   //
-  // Evaluations arriving while a record or verify is in flight on another
-  // thread simply interpret; the scheme therefore never blocks and stays
-  // bit-identical under any interleaving (replay is only used after it was
-  // proven to produce the same bits as interpretation).
+  // The evaluation that records or verifies is the only one running while
+  // the state is kRecording or kVerifying; every other evaluation waits
+  // for it to settle. A waiter therefore only ever waits on a run already
+  // in progress on another thread, so a shared engine cannot deadlock,
+  // and an eligible objective interprets exactly two evaluations however
+  // many threads call it. Replay is only used after it was proven to
+  // produce the same bits as interpretation.
 
   enum class FastState {
     kIdle,
@@ -114,7 +117,6 @@ class ObjectiveBase : public Objective {
     kVerified,
     kDisabled,
   };
-  enum class Path { kInterpret, kRecord, kVerify, kReplay };
 
   /// Everything an evaluation derives from the configuration alone: the
   /// resolved stack settings and the noise factors `1 + N(0, sigma)`,
@@ -175,80 +177,69 @@ class ObjectiveBase : public Objective {
     obs::MetricsRegistry::global().counter(metric).add(1);
   }
 
-  RunOutcome run_via_fast_path(const cfg::StackSettings& settings) {
-    Path path = Path::kInterpret;
-    std::shared_ptr<const replay::OpTrace> trace;
-    if (gate_.eligible && testbed_.replay != ReplayMode::kOff) {
+  /// Leaves kRecording/kVerifying for `next` and wakes the waiters.
+  void settle(FastState next, std::shared_ptr<const replay::OpTrace> trace) {
+    {
       std::lock_guard<std::mutex> lock(mutex_);
-      switch (state_) {
-        case FastState::kIdle:
-          state_ = FastState::kRecording;
-          path = Path::kRecord;
-          break;
-        case FastState::kRecorded:
-          state_ = FastState::kVerifying;
-          path = Path::kVerify;
-          trace = trace_;
-          break;
-        case FastState::kVerified:
-          path = testbed_.replay == ReplayMode::kVerify ? Path::kVerify
-                                                        : Path::kReplay;
-          trace = trace_;
-          break;
-        default:
-          // Record/verify in flight on another thread, or disabled.
-          break;
-      }
+      state_ = next;
+      trace_ = std::move(trace);
     }
-    switch (path) {
-      case Path::kRecord: {
-        replay::Recorder recorder;
-        RunOutcome out;
-        {
-          mpisim::MpiSim mpi(testbed_.num_ranks);
-          pfs::PfsSimulator fs(testbed_.pfs);
-          replay::RecordScope scope(recorder);
-          out = run_once(mpi, fs, settings);
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (recorder.valid()) {
-          trace_ = std::make_shared<const replay::OpTrace>(recorder.take());
-          state_ = FastState::kRecorded;
-        } else {
-          state_ = FastState::kDisabled;
-        }
-        count("tuner.eval.interpreted");
-        return out;
-      }
-      case Path::kVerify: {
-        const RunOutcome interpreted = run_interpreted(settings);
-        const RunOutcome replayed = run_replayed(*trace, settings);
-        const bool identical = same_outcome(interpreted, replayed);
-        if (testbed_.replay == ReplayMode::kVerify) {
-          TUNIO_CHECK_MSG(identical,
-                          "replay diverged from interpretation in " + name());
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          if (state_ == FastState::kVerifying) {
-            state_ = identical ? FastState::kVerified : FastState::kDisabled;
-          }
-        }
-        count("tuner.eval.interpreted");
-        return interpreted;
-      }
-      case Path::kReplay:
-        count("tuner.eval.replayed");
-        return run_replayed(*trace, settings);
-      case Path::kInterpret:
-        break;
+    settled_.notify_all();
+  }
+
+  RunOutcome run_via_fast_path(const cfg::StackSettings& settings) {
+    FastState seen = FastState::kDisabled;
+    std::shared_ptr<const replay::OpTrace> trace;
+    if (gate_.eligible && testbed_.replay == ReplayMode::kAuto) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      settled_.wait(lock, [this] {
+        return state_ != FastState::kRecording &&
+               state_ != FastState::kVerifying;
+      });
+      seen = state_;
+      trace = trace_;
+      if (seen == FastState::kIdle) state_ = FastState::kRecording;
+      if (seen == FastState::kRecorded) state_ = FastState::kVerifying;
+    }
+    if (seen == FastState::kVerified) {
+      count("tuner.eval.replayed");
+      return run_replayed(*trace, settings);
     }
     count("tuner.eval.interpreted");
-    return run_interpreted(settings);
+    if (seen == FastState::kDisabled) return run_interpreted(settings);
+
+    // This evaluation records (kIdle) or verifies (kRecorded) while the
+    // others wait; whatever happens, it must settle the state.
+    FastState next = FastState::kDisabled;
+    RunOutcome out;
+    try {
+      if (seen == FastState::kIdle) {
+        replay::Recorder recorder;
+        {
+          replay::RecordScope scope(recorder);
+          out = run_interpreted(settings);
+        }
+        if (recorder.valid()) {
+          trace = std::make_shared<const replay::OpTrace>(recorder.take());
+          next = FastState::kRecorded;
+        }
+      } else {
+        out = run_interpreted(settings);
+        if (same_outcome(out, run_replayed(*trace, settings))) {
+          next = FastState::kVerified;
+        }
+      }
+    } catch (...) {
+      settle(FastState::kDisabled, nullptr);
+      throw;
+    }
+    settle(next, std::move(trace));
+    return out;
   }
 
   const ReplayGate gate_;
   std::mutex mutex_;
+  std::condition_variable settled_;
   /// Bounds the per-genome inputs cache; overflow just recomputes.
   static constexpr std::size_t kInputsCacheCap = 1u << 16;
   std::mutex inputs_mutex_;

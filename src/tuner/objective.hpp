@@ -13,12 +13,14 @@
 // cost.
 //
 // On top of that, objectives whose op stream provably does not depend on
-// the tuned settings (checked with the static def-use slicer) use a
-// record-once/replay-many fast path: the first evaluation records a flat
-// trace of stack operations, the second verifies that replaying it is
+// the tuned settings (checked statically, see `replay::analyze_invariance`)
+// use a record-once/replay-many fast path: the first evaluation records a
+// flat trace of stack operations, the second verifies that replaying it is
 // bit-identical to interpreting, and every later evaluation replays the
 // trace straight into the hdf5lite/mpiio/pfs stack — skipping the
-// interpreter or workload driver entirely. See src/replay.
+// interpreter or workload driver entirely. Evaluations that arrive while
+// the record or the verify runs wait for it, so an eligible objective
+// interprets exactly two evaluations at any worker count. See src/replay.
 #pragma once
 
 #include <functional>
@@ -76,9 +78,6 @@ enum class ReplayMode {
   kAuto,
   /// Never record or replay; always run the interpreter / native driver.
   kOff,
-  /// Replay AND interpret every evaluation, throwing on any divergence.
-  /// Slower than kOff; intended for debugging the replay engine.
-  kVerify,
 };
 
 /// Simulated testbed description (the paper's 4-node/128-process rig).

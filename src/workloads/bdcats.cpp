@@ -53,8 +53,10 @@ class BdcatsWorkload final : public Workload {
     input.flush();
     mpi.reset();
     fs.quiesce();
-    replay::note_mpi_reset();
-    replay::note_fs_quiesce();
+    if (replay::Recorder* rec = replay::active_recorder()) {
+      rec->on_mpi_reset();
+      rec->on_fs_quiesce();
+    }
 
     trace::RunMeter meter(mpi, fs);
     meter.begin();

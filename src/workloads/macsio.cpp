@@ -75,7 +75,7 @@ class MacsioWorkload final : public Workload {
       if (options.include_log_writes) {
         for (unsigned l = 0; l < params_.log_writes_per_dump; ++l) {
           log_write(mpi, fs, log_path, params_.log_write_bytes,
-                    /*create=*/{}, /*settings_stripe=*/false);
+                    /*memory_tier=*/false);
         }
       }
     }

@@ -27,7 +27,9 @@ double compute_jitter(unsigned rank, unsigned salt) {
 
 void compute_phase(mpisim::MpiSim& mpi, double seconds, unsigned salt) {
   if (seconds <= 0.0) return;
-  replay::note_compute(seconds, salt);
+  if (replay::Recorder* rec = replay::active_recorder()) {
+    rec->on_compute(seconds, salt);
+  }
   for (unsigned r = 0; r < mpi.size(); ++r) {
     mpi.compute(r, seconds * compute_jitter(r, salt));
   }
@@ -35,13 +37,15 @@ void compute_phase(mpisim::MpiSim& mpi, double seconds, unsigned salt) {
 }
 
 void log_write(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
-               const std::string& path, Bytes bytes,
-               pfs::CreateOptions create, bool settings_stripe) {
-  replay::note_log_write(path, bytes, settings_stripe,
-                         create.tier == pfs::Tier::kMemory);
+               const std::string& path, Bytes bytes, bool memory_tier) {
+  if (replay::Recorder* rec = replay::active_recorder()) {
+    rec->on_log_write(path, bytes, memory_tier);
+  }
   std::optional<pfs::FileHandle> log = fs.find_file(path);
   if (!log) {
+    pfs::CreateOptions create;
     create.stripe_count = 1;  // logs are plain fopen'd files
+    if (memory_tier) create.tier = pfs::Tier::kMemory;
     log = fs.create_file(path, mpi.clock(0), create).handle;
   }
   // Buffered stdio: the bytes are staged and flushed asynchronously, so

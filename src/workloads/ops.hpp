@@ -2,7 +2,7 @@
 // simulated stack: the native workload drivers, the mini-C interpreter's
 // `compute` and `fprintf_log` builtins, and the replayer. Replay is only
 // bit-identical if all three charge these ops the same way, so each op
-// has this one implementation, and each notes itself for the replay
+// has this one implementation, and each records itself for the replay
 // recorder.
 #pragma once
 
@@ -21,11 +21,10 @@ void compute_phase(mpisim::MpiSim& mpi, double seconds, unsigned salt);
 
 /// Rank 0 appends `bytes` to the log file at `path` through buffered
 /// stdio — the incidental I/O that Application I/O Discovery strips from
-/// kernels. A missing log is created with `create`, on one stripe.
-/// `settings_stripe` tells the replay recorder that `create` carries the
-/// tuned Lustre settings, so a replay under other settings re-derives it.
+/// kernels. A missing log is created on one stripe, in the memory tier
+/// when `memory_tier` is set; with one stripe, no tuned Lustre setting
+/// changes how its writes are served.
 void log_write(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
-               const std::string& path, Bytes bytes,
-               pfs::CreateOptions create, bool settings_stripe);
+               const std::string& path, Bytes bytes, bool memory_tier);
 
 }  // namespace tunio::wl

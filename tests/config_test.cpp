@@ -26,6 +26,33 @@ TEST(ConfigSpace, Tunio12HasTwelveParameters) {
               1e-9);
 }
 
+/// Varied configurations of `space`, in the shape tests commonly build.
+std::vector<Configuration> varied_configs(const ConfigSpace& space,
+                                          int count) {
+  std::vector<Configuration> configs;
+  Rng rng(0x5EED);
+  for (int i = 0; i < count; ++i) {
+    Configuration config = space.default_configuration();
+    for (std::size_t p = 0; p < space.num_parameters(); ++p) {
+      config.set_index(p, rng.index(space.parameter(p).domain.size()));
+    }
+    configs.push_back(config);
+  }
+  return configs;
+}
+
+TEST(ConfigSpace, Tunio12ConfigurationsOutliveTheCallExpression) {
+  // Configurations point at their space; built straight from the
+  // canonical space, they must stay readable after the full expression.
+  const std::vector<Configuration> configs =
+      varied_configs(ConfigSpace::tunio12(), 4);
+  const std::set<std::uint64_t> stripes{1, 2, 4, 8, 16, 32, 48, 64};
+  for (const Configuration& config : configs) {
+    EXPECT_EQ(&config.space(), &ConfigSpace::tunio12());
+    EXPECT_EQ(stripes.count(config.value("striping_factor")), 1u);
+  }
+}
+
 TEST(ConfigSpace, AllPaperParametersPresent) {
   const ConfigSpace space = ConfigSpace::tunio12();
   for (const char* name :

@@ -120,15 +120,15 @@ TEST(Recorder, EmptyRecorderIsInvalid) {
 }
 
 TEST(Recorder, NotRecordingOutsideScope) {
-  EXPECT_FALSE(replay::recording());
+  EXPECT_EQ(replay::active_recorder(), nullptr);
   replay::Recorder recorder;
   {
     replay::RecordScope scope(recorder);
-    EXPECT_TRUE(replay::recording());
+    EXPECT_EQ(replay::active_recorder(), &recorder);
     replay::SuppressScope suppress;
-    EXPECT_FALSE(replay::recording());
+    EXPECT_EQ(replay::active_recorder(), nullptr);
   }
-  EXPECT_FALSE(replay::recording());
+  EXPECT_EQ(replay::active_recorder(), nullptr);
 }
 
 TEST(Recorder, CapturesInterpreterRun) {
@@ -286,6 +286,52 @@ TEST(ReplayDifferential, LogWritesUnderPathSwitchingAndTunedStripes) {
             std::string::npos);
   SCOPED_TRACE("path-switched kernel");
   expect_replay_matches_interp(kernel.kernel, targets);
+}
+
+/// FNV-1a over the bit patterns of a run's `PerfResult` and sim time.
+void hash_run(std::uint64_t& hash, const trace::PerfResult& perf,
+              SimSeconds sim_seconds) {
+  auto add = [&hash](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (v >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001B3ull;
+    }
+  };
+  auto add_double = [&add](double d) { add(std::bit_cast<std::uint64_t>(d)); };
+  const trace::RunCounters& c = perf.counters;
+  for (const double d : {perf.bw_read_mbps, perf.bw_write_mbps, perf.alpha,
+                         perf.perf_mbps, c.read_time, c.write_time,
+                         c.other_time, c.elapsed, sim_seconds}) {
+    add_double(d);
+  }
+  for (const std::uint64_t v :
+       {c.bytes_read, c.bytes_written, c.read_ops, c.write_ops,
+        c.metadata_ops}) {
+    add(v);
+  }
+  for (const std::uint64_t v : c.read_sizes.counts) add(v);
+  for (const std::uint64_t v : c.write_sizes.counts) add(v);
+}
+
+TEST(LogWrite, MacsioSourceResultsArePinnedUnderTunedStripes) {
+  // The full MACSio source logs every dump. A log always gets one stripe,
+  // so the tuned stripe settings must not reach its writes: this pins
+  // the interpreted results under two stripe sizes.
+  const minic::Program program = minic::parse(wl::sources::macsio_vpic());
+  const cfg::StackSettings defaults =
+      cfg::resolve(cfg::ConfigSpace::tunio12().default_configuration());
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (const Bytes stripe_size : {64 * KiB, 16 * MiB}) {
+    cfg::StackSettings tuned = defaults;
+    tuned.lustre.stripe_size = stripe_size;
+    tuned.lustre.stripe_count = pfs::PfsProfile{}.num_osts;
+    mpisim::MpiSim mpi(kRanks);
+    pfs::PfsSimulator fs;
+    const interp::InterpResult run =
+        interp::execute(program, mpi, fs, tuned);
+    hash_run(hash, run.perf, run.sim_seconds);
+  }
+  EXPECT_EQ(hash, 0x37adfdba50c1c690ull) << std::hex << "0x" << hash;
 }
 
 /// Records a native workload driver's run under `options` and checks
@@ -500,29 +546,33 @@ int main() {
 
 // --- objective-level fast path --------------------------------------------
 
-/// kVerify re-runs interpretation alongside every replay and throws on
-/// divergence, so a clean pass over varied configurations is a
-/// self-checking differential test. The kOff twin confirms the fast path
-/// changes nothing observable.
+std::uint64_t replayed_count() {
+  return obs::MetricsRegistry::global().counter("tuner.eval.replayed").value();
+}
+
+/// Evaluates varied configurations with the fast path on (kAuto) and off
+/// (kOff) and requires bit-identical results. An eligible objective
+/// records on eval 1 and verifies on eval 2, so every later kAuto
+/// evaluation replays and is checked against the interpreter here.
 void expect_objective_modes_agree(
     const std::function<std::unique_ptr<tuner::Objective>(
         tuner::TestbedOptions)>& make,
     int num_configs) {
-  auto verified = make(testbed(tuner::ReplayMode::kVerify));
+  ASSERT_GE(num_configs, 3);
   auto interpreted = make(testbed(tuner::ReplayMode::kOff));
   auto automatic = make(testbed(tuner::ReplayMode::kAuto));
-  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  const std::uint64_t before = replayed_count();
   for (const cfg::Configuration& config :
-       varied_configs(space, num_configs)) {
-    const tuner::Evaluation a = verified->evaluate(config);
-    const tuner::Evaluation b = interpreted->evaluate(config);
-    const tuner::Evaluation c = automatic->evaluate(config);
-    EXPECT_TRUE(same_bits(a.perf_mbps, b.perf_mbps));
-    EXPECT_TRUE(same_bits(a.eval_seconds, b.eval_seconds));
-    EXPECT_TRUE(same_bits(a.perf_mbps, c.perf_mbps));
-    EXPECT_TRUE(same_bits(a.eval_seconds, c.eval_seconds));
-    EXPECT_TRUE(replay::bit_identical(a.detail, c.detail));
+       varied_configs(cfg::ConfigSpace::tunio12(), num_configs)) {
+    const tuner::Evaluation off = interpreted->evaluate(config);
+    const tuner::Evaluation on = automatic->evaluate(config);
+    EXPECT_TRUE(same_bits(off.perf_mbps, on.perf_mbps));
+    EXPECT_TRUE(same_bits(off.eval_seconds, on.eval_seconds));
+    EXPECT_TRUE(replay::bit_identical(off.detail, on.detail));
   }
+  const int replays =
+      automatic->replay_gate().eligible ? num_configs - 2 : 0;
+  EXPECT_EQ(replayed_count() - before, static_cast<std::uint64_t>(replays));
 }
 
 TEST(ReplayObjective, KernelObjectiveModesAgree) {
@@ -551,15 +601,17 @@ TEST(ReplayObjective, WorkloadObjectiveModesAgree) {
 }
 
 TEST(ReplayObjective, SettingsDependentKernelFallsBack) {
-  // kVerify would throw if the replay path were (wrongly) engaged for a
-  // kernel whose op stream changes with the settings; the static check
-  // must keep it on the interpreted path, where the two stripe-count
-  // extremes legitimately produce different results.
+  // The static check must keep a kernel whose op stream changes with the
+  // settings on the interpreted path: kAuto replays nothing and matches
+  // kOff bit for bit, and the two stripe-count extremes legitimately
+  // produce different results.
   const minic::Program program = minic::parse(kSettingsDependentKernel);
   ASSERT_TRUE(replay::settings_dependent(program));
-  auto objective = tuner::make_kernel_objective(
-      program, testbed(tuner::ReplayMode::kVerify));
-  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  auto automatic =
+      tuner::make_kernel_objective(program, testbed(tuner::ReplayMode::kAuto));
+  auto interpreted =
+      tuner::make_kernel_objective(program, testbed(tuner::ReplayMode::kOff));
+  const cfg::ConfigSpace& space = cfg::ConfigSpace::tunio12();
   const std::size_t stripes = space.index_of("striping_factor");
   cfg::Configuration narrow = space.default_configuration();
   narrow.set_index(stripes, 0);
@@ -568,11 +620,22 @@ TEST(ReplayObjective, SettingsDependentKernelFallsBack) {
                  space.parameter(stripes).domain.size() - 1);
   ASSERT_LE(narrow.value("striping_factor"), 4u);
   ASSERT_GT(wide.value("striping_factor"), 4u);
-  const tuner::Evaluation a = objective->evaluate(narrow);
-  const tuner::Evaluation b = objective->evaluate(wide);
+  const std::uint64_t before = replayed_count();
+  std::vector<tuner::Evaluation> results;
+  for (const cfg::Configuration& config :
+       {narrow, wide, space.default_configuration()}) {
+    const tuner::Evaluation on = automatic->evaluate(config);
+    const tuner::Evaluation off = interpreted->evaluate(config);
+    EXPECT_TRUE(same_bits(on.perf_mbps, off.perf_mbps));
+    EXPECT_TRUE(same_bits(on.eval_seconds, off.eval_seconds));
+    EXPECT_TRUE(replay::bit_identical(on.detail, off.detail));
+    results.push_back(on);
+  }
+  EXPECT_EQ(replayed_count() - before, 0u);
   // The wide configuration writes 4x the data; the op streams genuinely
   // differ, which is exactly why this kernel must not be replayed.
-  EXPECT_NE(a.detail.counters.bytes_written, b.detail.counters.bytes_written);
+  EXPECT_NE(results[0].detail.counters.bytes_written,
+            results[1].detail.counters.bytes_written);
 }
 
 TEST(ReplayObjective, AutoModeReplaysFromThirdEvaluationOn) {
@@ -594,13 +657,12 @@ TEST(ReplayObjective, AutoModeReplaysFromThirdEvaluationOn) {
 TEST(ReplayObjective, TaintRecoveredKernelReplaysBitIdentically) {
   // The acceptance case for the taint-widened gate: a kernel the PR-4
   // slicer classified settings-dependent (so it never replayed) is
-  // proven invariant by taint and must now ride the fast path — with
-  // kVerify re-interpreting alongside every replay and throwing on any
-  // bit divergence.
+  // proven invariant by taint and must now ride the fast path, bit for
+  // bit with the interpreter.
   const minic::Program program = minic::parse(kTaintRecoverableKernel);
   ASSERT_FALSE(replay::settings_dependent(program));
-  auto objective = tuner::make_kernel_objective(
-      program, testbed(tuner::ReplayMode::kVerify));
+  auto objective =
+      tuner::make_kernel_objective(program, testbed(tuner::ReplayMode::kAuto));
   EXPECT_TRUE(objective->replay_gate().eligible)
       << objective->replay_gate().reason;
   expect_objective_modes_agree(

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 #include "service/eval_engine.hpp"
 #include "service/result_cache.hpp"
 #include "service/service_objective.hpp"
@@ -168,8 +169,10 @@ TEST(EvalEngine, SharedAcrossConcurrentBatches) {
 
 /// Same seed + same job ⇒ identical TuningResult for pool sizes 1/4/8,
 /// and identical to the plain serial tuner without any service layer.
+/// The replay fast path splits the evaluations the same way too: the
+/// bootstrap interprets exactly two at any worker count.
 TEST(Determinism, PoolSizeDoesNotChangeTuningResult) {
-  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  const cfg::ConfigSpace& space = cfg::ConfigSpace::tunio12();
   GaOptions ga;
   ga.population = 8;
   ga.max_generations = 6;
@@ -177,8 +180,10 @@ TEST(Determinism, PoolSizeDoesNotChangeTuningResult) {
 
   auto baseline_objective = hacc_objective();
   GeneticTuner baseline(space, *baseline_objective, ga);
-  const TuningResult expected =
-      tuners::drive(baseline, *baseline_objective).tuning;
+  const tuners::DriveResult expected =
+      tuners::drive(baseline, *baseline_objective);
+  EXPECT_GT(expected.replayed_evals, 0u);
+  EXPECT_EQ(expected.interpreted_evals, 2u);
 
   for (unsigned workers : {1u, 4u, 8u}) {
     EvalEngine engine(EngineOptions{workers});
@@ -186,9 +191,11 @@ TEST(Determinism, PoolSizeDoesNotChangeTuningResult) {
     auto objective = hacc_objective();
     ServiceObjective service(*objective, engine, cache, /*fingerprint=*/7);
     GeneticTuner tuner(space, service, ga);
-    const TuningResult result = tuners::drive(tuner, service).tuning;
+    const tuners::DriveResult result = tuners::drive(tuner, service);
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    expect_identical(result, expected);
+    expect_identical(result.tuning, expected.tuning);
+    EXPECT_EQ(result.replayed_evals, expected.replayed_evals);
+    EXPECT_EQ(result.interpreted_evals, expected.interpreted_evals);
   }
 }
 
@@ -345,6 +352,82 @@ TEST(ServiceObjective, CacheHitsAreFreeAndCounted) {
   EXPECT_EQ(inner.evaluations(), 1u);
   EXPECT_EQ(service.cache_hits(), 1u);
   EXPECT_EQ(service.cache_misses(), 1u);
+}
+
+TEST(ServiceObjective, DriveReportsTheInnerReplayGate) {
+  auto inner = hacc_objective();
+  ASSERT_TRUE(inner->replay_gate().eligible);
+  EvalEngine engine(EngineOptions{2});
+  ResultCache cache;
+  ServiceObjective service(*inner, engine, cache, /*fingerprint=*/3);
+  GaOptions ga;
+  ga.population = 4;
+  ga.max_generations = 2;
+  GeneticTuner tuner(cfg::ConfigSpace::tunio12(), service, ga);
+  const tuners::DriveResult result = tuners::drive(tuner, service);
+  EXPECT_TRUE(result.replay_eligible);
+  EXPECT_EQ(result.replay_gate_reason, inner->replay_gate().reason);
+  EXPECT_GT(result.replayed_evals, 0u);
+}
+
+/// HACC-IO under its own name (so the replay gate admits it) whose first
+/// run throws after a pause that lets the rest of a batch arrive. With
+/// the replay fast path on, the first run is the recording one.
+class FailsFirstRun final : public wl::Workload {
+ public:
+  explicit FailsFirstRun(std::shared_ptr<const wl::Workload> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  double design_alpha() const override { return inner_->design_alpha(); }
+  wl::RunResult run(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
+                    const cfg::StackSettings& settings,
+                    const wl::RunOptions& options) const override {
+    if (runs_.fetch_add(1) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      throw Error("injected failure in the recording run");
+    }
+    return inner_->run(mpi, fs, settings, options);
+  }
+
+ private:
+  std::shared_ptr<const wl::Workload> inner_;
+  mutable std::atomic<unsigned> runs_{0};
+};
+
+TEST(ServiceObjective, ThrowingRecordRethrowsAndLaterEvaluationsInterpret) {
+  wl::HaccParams params;
+  params.particles_per_rank = 1 << 15;
+  wl::RunOptions kernel;
+  kernel.compute_scale = 0.0;
+  const std::shared_ptr<const wl::Workload> hacc(wl::make_hacc(params));
+  auto objective = tuner::make_workload_objective(
+      std::make_shared<FailsFirstRun>(hacc), small_testbed(), kernel);
+  ASSERT_TRUE(objective->replay_gate().eligible);
+  EvalEngine engine(EngineOptions{4});
+  ResultCache cache;
+  ServiceObjective service(*objective, engine, cache, /*fingerprint=*/9);
+  const std::vector<cfg::Configuration> configs =
+      some_configs(cfg::ConfigSpace::tunio12(), 8);
+  // The batch's other evaluations wait on the recording one; its failure
+  // must wake them and reach the caller rather than hang the batch.
+  EXPECT_THROW(service.evaluate_batch(configs), Error);
+
+  obs::Counter& replayed =
+      obs::MetricsRegistry::global().counter("tuner.eval.replayed");
+  obs::Counter& interpreted =
+      obs::MetricsRegistry::global().counter("tuner.eval.interpreted");
+  const std::uint64_t replayed0 = replayed.value();
+  const std::uint64_t interpreted0 = interpreted.value();
+  const std::vector<Evaluation> later = service.evaluate_batch(configs);
+  EXPECT_EQ(replayed.value() - replayed0, 0u);
+  EXPECT_EQ(interpreted.value() - interpreted0, configs.size());
+  const std::vector<Evaluation> expected =
+      hacc_objective()->evaluate_batch(configs);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(later[i].perf_mbps, expected[i].perf_mbps) << "config " << i;
+    EXPECT_EQ(later[i].eval_seconds, expected[i].eval_seconds);
+  }
 }
 
 TEST(TuningServer, ConcurrentJobsMatchSequentialRuns) {
