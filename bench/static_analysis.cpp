@@ -28,8 +28,8 @@
 #include "minic/printer.hpp"
 #include "mpisim/mpisim.hpp"
 #include "pfs/pfs.hpp"
-#include "replay/hooks.hpp"
 #include "replay/invariance.hpp"
+#include "replay/recorder.hpp"
 #include "replay/trace_stats.hpp"
 #include "workloads/sources.hpp"
 

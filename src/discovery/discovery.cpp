@@ -132,10 +132,6 @@ class Marker {
     return live;
   }
 
-  const std::unordered_set<std::string>& io_functions() const {
-    return io_functions_;
-  }
-
  private:
   /// The variable a statement defines (assignment target / declaration).
   static std::string defined_var(const Stmt& stmt) {
@@ -396,39 +392,18 @@ std::set<int> mark_kept(const Program& program,
 
 KernelResult discover_io(const Program& program,
                          const DiscoveryOptions& options) {
-  // Work on a clone so the caller's AST is untouched.
-  Program working = minic::clone(program);
-
-  // The Marker is constructed either way: its io-function fixpoint also
-  // drives loop reduction, and it is the fallback engine.
-  Marker marker(working, options.io_prefixes);
+  analysis::SliceResult slice = analysis::slice_io(program, options.io_prefixes);
   KernelResult result;
-  std::set<int> kept;
-  if (options.engine == MarkingEngine::kDataflowSlicer) {
-    try {
-      kept = analysis::slice_io(working, options.io_prefixes).kept;
-      result.engine_used = MarkingEngine::kDataflowSlicer;
-    } catch (const Error&) {
-      // Slicer rejected the program; fall back to the coarser marker so
-      // discovery still yields a kernel (mirrors the paper's fall-back-
-      // to-full-application stance at the marking layer).
-      kept = marker.run();
-      result.engine_used = MarkingEngine::kLegacyMarker;
-      result.used_fallback = true;
-    }
-  } else {
-    kept = marker.run();
-    result.engine_used = MarkingEngine::kLegacyMarker;
-  }
-  for (int id : options.manual_keep) kept.insert(id);
-
-  result.kept_stmt_ids = kept;
+  result.kept_stmt_ids = std::move(slice.kept);
+  result.kept_stmt_ids.insert(options.manual_keep.begin(),
+                              options.manual_keep.end());
+  const std::set<int>& kept = result.kept_stmt_ids;
 
   // Reconstruct: keep only marked statements (functions whose bodies end
   // up empty of I/O still appear if they are I/O functions, because all
   // their kept statements survive; pure-compute helpers vanish unless
   // their results feed I/O).
-  for (Function& fn : working.functions) {
+  for (const Function& fn : program.functions) {
     result.total_statements += count_statements(*fn.body);
     StmtPtr filtered = filter_stmt(*fn.body, kept);
     const bool is_main = fn.name == "main";
@@ -449,7 +424,7 @@ KernelResult discover_io(const Program& program,
     result.kept_statements += count_statements(*out.body);
     result.kernel.functions.push_back(std::move(out));
   }
-  result.kernel.next_stmt_id = working.next_stmt_id;
+  result.kernel.next_stmt_id = program.next_stmt_id;
   TUNIO_CHECK_MSG(result.kernel.find("main") != nullptr,
                   "kernel lost its main function");
 
@@ -461,7 +436,7 @@ KernelResult discover_io(const Program& program,
         1, static_cast<int>(std::llround(1.0 / options.loop_reduction)));
     for (Function& fn : result.kernel.functions) {
       apply_loop_reduction(*fn.body, result.loop_reduction_divisor,
-                           options.io_prefixes, marker.io_functions());
+                           options.io_prefixes, slice.io_functions);
     }
   }
   if (options.path_switching) {

@@ -33,28 +33,9 @@ namespace tunio::discovery {
 /// `/dev/shm` analogue).
 inline constexpr const char* kMemoryPathPrefix = "/shm";
 
-/// Which engine computes the kept-statement set.
-///
-/// kDataflowSlicer (the default) is the CFG/def-use backward slicer from
-/// src/analysis: it keeps a definition only when it can *reach* a kept
-/// use, so the kernel is never larger than the legacy marking. The
-/// legacy marker keeps every statement that defines a variable whose
-/// name is a dependent anywhere in the function — a coarser, name-based
-/// over-approximation. It remains available both as an explicit engine
-/// choice and as the automatic fallback when the slicer rejects a
-/// program; the differential tests use it as the oracle (slicer kept-set
-/// ⊆ marker kept-set, with identical interpreter I/O metrics).
-enum class MarkingEngine {
-  kDataflowSlicer,
-  kLegacyMarker,
-};
-
 struct DiscoveryOptions {
   /// Call-name prefixes treated as I/O calls. The prototype targets HDF5.
   std::vector<std::string> io_prefixes = {"h5"};
-
-  /// Marking engine (see MarkingEngine). Defaults to the precise slicer.
-  MarkingEngine engine = MarkingEngine::kDataflowSlicer;
 
   /// Loop Reduction: fraction of I/O-loop iterations to run (1.0 = off;
   /// the paper's Fig. 8(b) uses 0.01, i.e. 1% of the iterations).
@@ -78,22 +59,21 @@ struct KernelResult {
   /// extrapolation factor reported by the interpreter is based on the
   /// realized per-loop reductions.
   int loop_reduction_divisor = 1;
-  /// Engine that actually produced the marking.
-  MarkingEngine engine_used = MarkingEngine::kDataflowSlicer;
-  /// True when the slicer was requested but failed and discovery fell
-  /// back to the legacy marker.
-  bool used_fallback = false;
 };
 
-/// Runs the *legacy* name-based marking loop only (exposed for tests and
-/// as the differential-test oracle): returns the ids of all statements
-/// that must be kept to preserve the program's I/O. The slicer-based
-/// equivalent is analysis::slice_io.
+/// The legacy name-based marking loop, kept as the differential tests'
+/// oracle: returns the ids of all statements that must be kept to
+/// preserve the program's I/O. It keeps every statement that defines a
+/// variable whose name is a dependent anywhere in the function, a coarser
+/// over-approximation than discovery's marking (analysis::slice_io,
+/// which keeps a definition only when it can *reach* a kept use); the
+/// tests check that the slicer's kept set is a subset of this one.
 std::set<int> mark_kept(const minic::Program& program,
                         const std::vector<std::string>& io_prefixes);
 
-/// Full pipeline: mark, reconstruct, reduce. Throws SourceError when the
-/// program cannot be analyzed.
+/// Full pipeline: mark (with analysis::slice_io), reconstruct, reduce.
+/// Throws tunio::Error when the program cannot be analyzed (it has no
+/// main).
 KernelResult discover_io(const minic::Program& program,
                          const DiscoveryOptions& options = {});
 

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "hdf5lite/file.hpp"
-#include "replay/hooks.hpp"
 
 namespace tunio::h5 {
 
@@ -14,19 +13,6 @@ namespace {
 constexpr Bytes kObjectHeaderBytes = 800;
 constexpr Bytes kBtreeRecordBytes = 160;
 constexpr Bytes kAttributeBytes = 256;
-
-/// Records a transfer when this thread records (see replay/hooks.hpp).
-void record_io(const Dataset* dataset, bool is_write, bool collective,
-               const std::vector<Selection>& selections) {
-  replay::Recorder* rec = replay::active_recorder();
-  if (rec == nullptr) return;
-  std::vector<replay::Sel> sels;
-  sels.reserve(selections.size());
-  for (const Selection& sel : selections) {
-    sels.push_back({sel.rank, sel.start_element, sel.count});
-  }
-  rec->on_dataset_io(dataset, is_write, collective, sels.data(), sels.size());
-}
 
 }  // namespace
 
@@ -107,7 +93,6 @@ void Dataset::issue_reads(const std::vector<ByteExtent>& extents,
 void Dataset::write(const std::vector<Selection>& selections,
                     const TransferProps& dxpl) {
   TUNIO_CHECK_MSG(!closed_, "write on closed dataset: " + name_);
-  record_io(this, /*is_write=*/true, dxpl.collective, selections);
   last_dxpl_collective_ = dxpl.collective;
   for (const Selection& sel : selections) {
     TUNIO_CHECK_MSG(sel.start_element + sel.count <= num_elements_,
@@ -125,7 +110,6 @@ void Dataset::write(const std::vector<Selection>& selections,
 void Dataset::read(const std::vector<Selection>& selections,
                    const TransferProps& dxpl) {
   TUNIO_CHECK_MSG(!closed_, "read on closed dataset: " + name_);
-  record_io(this, /*is_write=*/false, dxpl.collective, selections);
   for (const Selection& sel : selections) {
     TUNIO_CHECK_MSG(sel.start_element + sel.count <= num_elements_,
                     "selection out of bounds in " + name_);
@@ -287,9 +271,6 @@ void Dataset::read_chunked(const std::vector<Selection>& selections,
 }
 
 void Dataset::flush() {
-  if (replay::Recorder* rec = replay::active_recorder()) {
-    rec->on_dataset_flush(this);
-  }
   for (auto& [rank, window] : sieves_) {
     if (window.length > 0 && window.dirty) {
       ++stats_.sieve_flushes;
@@ -306,9 +287,6 @@ void Dataset::flush() {
 
 void Dataset::close() {
   if (closed_) return;
-  // Dataset close is always driven by File::close / h5dclose; the flush
-  // below is already represented by the enclosing op.
-  replay::SuppressScope suppress;
   flush();
   // Final attribute/object-header update on close.
   file_.meta().meta_update(kAttributeBytes);

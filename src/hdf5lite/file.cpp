@@ -1,7 +1,6 @@
 #include "hdf5lite/file.hpp"
 
 #include "common/error.hpp"
-#include "replay/hooks.hpp"
 
 namespace tunio::h5 {
 
@@ -21,11 +20,6 @@ File::File(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs, std::string path,
       meta_(mpi, fs, path_, fapl_) {
   // Superblock write at creation.
   meta_.meta_update(kSuperblockBytes);
-  // Only the memory-tier choice is the caller's; the striping/hints all
-  // came from the settings and get re-substituted at replay.
-  if (replay::Recorder* rec = replay::active_recorder()) {
-    rec->on_file_ctor(this, path_, create_options.tier == pfs::Tier::kMemory);
-  }
 }
 
 File::~File() {
@@ -48,12 +42,6 @@ Dataset& File::create_dataset(const std::string& name, Bytes elem_size,
                                 ccpl);
   Dataset& ref = *dataset;
   datasets_.emplace(name, std::move(dataset));
-  // Record the caller's (pre-clamp) chunk request; the cache props come
-  // from the settings and get re-substituted at replay.
-  if (replay::Recorder* rec = replay::active_recorder()) {
-    rec->on_dataset_create(this, &ref, name, elem_size, num_elements,
-                           dcpl.chunk_elements.value_or(0));
-  }
   return ref;
 }
 
@@ -68,22 +56,12 @@ bool File::has_dataset(const std::string& name) const {
 }
 
 void File::flush() {
-  if (replay::Recorder* rec = replay::active_recorder()) {
-    rec->on_file_flush(this);
-  }
-  // One kFileFlush op stands for the whole composite; the per-dataset
-  // flushes below must not record themselves.
-  replay::SuppressScope suppress;
   for (auto& [name, dataset] : datasets_) dataset->flush();
   meta_.flush();
 }
 
 void File::close() {
   if (closed_) return;
-  if (replay::Recorder* rec = replay::active_recorder()) {
-    rec->on_file_close(this);
-  }
-  replay::SuppressScope suppress;
   for (auto& [name, dataset] : datasets_) dataset->close();
   // Superblock is rewritten on close (end-of-allocation update).
   meta_.meta_update(kSuperblockBytes);

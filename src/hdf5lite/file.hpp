@@ -41,6 +41,7 @@ class File {
 
   /// Flush + file close (superblock update, MDS close). Idempotent.
   void close();
+  bool closed() const { return closed_; }
 
   const std::string& path() const { return path_; }
   const FileAccessProps& fapl() const { return fapl_; }

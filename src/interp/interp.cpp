@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <variant>
@@ -11,8 +10,6 @@
 
 #include "common/error.hpp"
 #include "discovery/discovery.hpp"
-#include "hdf5lite/file.hpp"
-#include "replay/hooks.hpp"
 #include "workloads/ops.hpp"
 
 namespace tunio::interp {
@@ -70,39 +67,34 @@ class Interpreter {
         fs_(fs),
         settings_(settings),
         options_(options),
-        meter_(mpi, fs) {}
+        exec_(mpi, fs, settings) {}
 
   InterpResult run() {
     const Function* main_fn = program_.find("main");
     if (main_fn == nullptr) fail(0, "program has no main()");
 
-    meter_.begin();
-    meter_.phase_begin(trace::Phase::kOther);
-    const SimSeconds start = mpi_.max_clock();
+    exec_.meter_begin();
+    exec_.phase(trace::Phase::kOther);
 
     scopes_.emplace_back();
     const std::optional<Value> ret = exec_block(*main_fn->body);
     scopes_.pop_back();
 
     // Close any files the program leaked.
-    for (auto& file : files_) {
-      if (file) file->close();
+    for (std::uint32_t file = 0; file < exec_.num_files(); ++file) {
+      exec_.close_file(file);
     }
 
     InterpResult result;
     result.exit_code = ret ? as_int(*ret, 0) : 0;
-    result.perf = meter_.end();
-    result.sim_seconds = mpi_.max_clock() - start;
-    result.extrapolation = 1.0;
     for (const auto& [site, factor] : reduction_factors_) {
       result.extrapolation *= factor;
     }
-    result.predicted_bytes_written =
-        static_cast<double>(result.perf.counters.bytes_written) *
-        result.extrapolation;
-    result.predicted_write_ops =
-        static_cast<double>(result.perf.counters.write_ops) *
-        result.extrapolation;
+    const wl::RunResult run = exec_.meter_end(result.extrapolation);
+    result.perf = run.perf;
+    result.sim_seconds = run.sim_seconds;
+    result.predicted_bytes_written = run.predicted_bytes_written;
+    result.predicted_write_ops = run.predicted_write_ops;
     return result;
   }
 
@@ -333,15 +325,11 @@ class Interpreter {
     }
   }
 
-  /// Translates a program path into a simulator path + tier.
-  std::pair<std::string, pfs::CreateOptions> resolve_path(
-      const std::string& raw) {
-    pfs::CreateOptions create = settings_.lustre;
-    std::string path = raw;
-    if (raw.rfind(discovery::kMemoryPathPrefix, 0) == 0) {
-      create.tier = pfs::Tier::kMemory;
-    }
-    return {options_.path_prefix + "_" + path, create};
+  /// Translates a program path into a simulator path; the bool is true
+  /// when the path lands on the memory tier.
+  std::pair<std::string, bool> resolve_path(const std::string& raw) {
+    return {options_.path_prefix + "_" + raw,
+            raw.rfind(discovery::kMemoryPathPrefix, 0) == 0};
   }
 
   std::vector<h5::Selection> slab_selections(std::uint64_t per_rank,
@@ -354,6 +342,19 @@ class Interpreter {
     return selections;
   }
 
+  /// One collective dataset transfer, metered as its own read or write
+  /// phase.
+  void transfer(bool is_write, std::uint32_t dataset,
+                const std::vector<h5::Selection>& selections) {
+    exec_.phase(is_write ? trace::Phase::kWrite : trace::Phase::kRead);
+    if (is_write) {
+      exec_.write(dataset, selections, /*collective=*/true);
+    } else {
+      exec_.read(dataset, selections, /*collective=*/true);
+    }
+    exec_.phase(trace::Phase::kOther);
+  }
+
   std::vector<h5::Selection> strided_selections(std::uint64_t block,
                                                 std::uint64_t elems) {
     std::vector<h5::Selection> selections;
@@ -364,20 +365,21 @@ class Interpreter {
     return selections;
   }
 
-  h5::File& file_ref(std::int64_t handle, int line) {
-    if (handle < 0 || static_cast<std::size_t>(handle) >= files_.size() ||
-        !files_[static_cast<std::size_t>(handle)]) {
+  std::uint32_t file_handle(const Value& v, int line) {
+    const std::int64_t handle = as_int(v, line);
+    if (handle < 0 || static_cast<std::size_t>(handle) >= exec_.num_files()) {
       fail(line, "bad file handle");
     }
-    return *files_[static_cast<std::size_t>(handle)];
+    return static_cast<std::uint32_t>(handle);
   }
 
-  h5::Dataset& dataset_ref(std::int64_t handle, int line) {
-    if (handle < 0 || static_cast<std::size_t>(handle) >= datasets_.size() ||
-        datasets_[static_cast<std::size_t>(handle)] == nullptr) {
+  std::uint32_t dataset_handle(const Value& v, int line) {
+    const std::int64_t handle = as_int(v, line);
+    if (handle < 0 ||
+        static_cast<std::size_t>(handle) >= exec_.num_datasets()) {
       fail(line, "bad dataset handle");
     }
-    return *datasets_[static_cast<std::size_t>(handle)];
+    return static_cast<std::uint32_t>(handle);
   }
 
   Value call_builtin(const Expr& call, std::vector<Value>& args) {
@@ -386,14 +388,12 @@ class Interpreter {
 
     if (name == "h5fcreate" || name == "h5fopen") {
       need_args(call, 1);
-      auto [path, create] = resolve_path(as_string(args[0], line));
-      files_.push_back(std::make_unique<h5::File>(
-          mpi_, fs_, path, settings_.fapl, settings_.mpiio, create));
-      return static_cast<std::int64_t>(files_.size() - 1);
+      const auto [path, memory_tier] = resolve_path(as_string(args[0], line));
+      return std::int64_t{exec_.create_file(path, memory_tier)};
     }
     if (name == "h5fclose") {
       need_args(call, 1);
-      file_ref(as_int(args[0], line), line).close();
+      exec_.close_file(file_handle(args[0], line));
       return std::int64_t{0};
     }
     if (name == "h5set_chunking") {
@@ -403,77 +403,54 @@ class Interpreter {
     }
     if (name == "h5dcreate") {
       need_args(call, 4);
-      h5::File& file = file_ref(as_int(args[0], line), line);
-      h5::DatasetCreateProps dcpl;
-      if (pending_chunk_elements_ > 0) {
-        dcpl.chunk_elements =
-            static_cast<std::uint64_t>(pending_chunk_elements_);
-      }
-      h5::Dataset& ds = file.create_dataset(
-          as_string(args[1], line),
+      const std::uint32_t file = file_handle(args[0], line);
+      return std::int64_t{exec_.create_dataset(
+          file, as_string(args[1], line),
           static_cast<Bytes>(as_int(args[2], line)),
-          static_cast<std::uint64_t>(as_int(args[3], line)), dcpl,
-          settings_.chunk_cache);
-      datasets_.push_back(&ds);
-      return static_cast<std::int64_t>(datasets_.size() - 1);
+          static_cast<std::uint64_t>(as_int(args[3], line)),
+          static_cast<std::uint64_t>(
+              std::max<std::int64_t>(0, pending_chunk_elements_)))};
     }
     if (name == "h5dopen") {
       need_args(call, 2);
-      h5::File& file = file_ref(as_int(args[0], line), line);
-      datasets_.push_back(&file.dataset(as_string(args[1], line)));
-      return static_cast<std::int64_t>(datasets_.size() - 1);
+      const std::uint32_t file = file_handle(args[0], line);
+      return std::int64_t{
+          exec_.open_dataset(file, as_string(args[1], line))};
     }
     if (name == "h5dclose") {
       need_args(call, 1);
-      dataset_ref(as_int(args[0], line), line).flush();
+      exec_.flush_dataset(dataset_handle(args[0], line));
       return std::int64_t{0};
     }
     if (name == "h5dwrite_all" || name == "h5dread_all") {
       need_args(call, 2);
-      h5::Dataset& ds = dataset_ref(as_int(args[0], line), line);
+      const std::uint32_t ds = dataset_handle(args[0], line);
       const auto per_rank = static_cast<std::uint64_t>(as_int(args[1], line));
-      const bool is_write = name == "h5dwrite_all";
-      meter_.phase_begin(is_write ? trace::Phase::kWrite
-                                  : trace::Phase::kRead);
-      if (is_write) {
-        ds.write(slab_selections(per_rank), h5::TransferProps{true});
-      } else {
-        ds.read(slab_selections(per_rank), h5::TransferProps{true});
-      }
-      meter_.phase_begin(trace::Phase::kOther);
+      transfer(name == "h5dwrite_all", ds, slab_selections(per_rank));
       return std::int64_t{0};
     }
     if (name == "h5dwrite_strided" || name == "h5dread_strided") {
       need_args(call, 3);
-      h5::Dataset& ds = dataset_ref(as_int(args[0], line), line);
+      const std::uint32_t ds = dataset_handle(args[0], line);
       const auto block = static_cast<std::uint64_t>(as_int(args[1], line));
       const auto elems = static_cast<std::uint64_t>(as_int(args[2], line));
-      const bool is_write = name == "h5dwrite_strided";
-      meter_.phase_begin(is_write ? trace::Phase::kWrite
-                                  : trace::Phase::kRead);
-      if (is_write) {
-        ds.write(strided_selections(block, elems), h5::TransferProps{true});
-      } else {
-        ds.read(strided_selections(block, elems), h5::TransferProps{true});
-      }
-      meter_.phase_begin(trace::Phase::kOther);
+      transfer(name == "h5dwrite_strided", ds,
+               strided_selections(block, elems));
       return std::int64_t{0};
     }
     if (name == "fprintf_log") {
       need_args(call, 2);
-      auto [path, create] = resolve_path(as_string(args[0], line));
-      meter_.phase_begin(trace::Phase::kWrite);
-      // Recorded after the phase op so the replayed write (and its stdio
-      // library cost) lands in the write phase, as it does here.
-      wl::log_write(mpi_, fs_, path, static_cast<Bytes>(as_int(args[1], line)),
-                    create.tier == pfs::Tier::kMemory);
-      meter_.phase_begin(trace::Phase::kOther);
+      const auto [path, memory_tier] = resolve_path(as_string(args[0], line));
+      exec_.phase(trace::Phase::kWrite);
+      exec_.log_write(path, static_cast<Bytes>(as_int(args[1], line)),
+                      memory_tier);
+      exec_.phase(trace::Phase::kOther);
       return std::int64_t{0};
     }
     if (name == "compute") {
       need_args(call, 1);
       const double seconds = as_double(args[0], line);
-      if (seconds > 0.0) wl::compute_phase(mpi_, seconds, compute_salt_++);
+      if (seconds > 0.0) exec_.compute(seconds, compute_salt_++);
       return std::int64_t{0};
     }
     if (name == "mpi_size") {
@@ -482,8 +459,7 @@ class Interpreter {
     }
     if (name == "mpi_barrier") {
       need_args(call, 0);
-      if (replay::Recorder* rec = replay::active_recorder()) rec->on_barrier();
-      mpi_.barrier();
+      exec_.barrier();
       return std::int64_t{0};
     }
     if (name == "tuned_stripe_count") {
@@ -528,11 +504,9 @@ class Interpreter {
   pfs::PfsSimulator& fs_;
   const cfg::StackSettings& settings_;
   InterpOptions options_;
-  trace::RunMeter meter_;
+  wl::OpExecutor exec_;
 
   std::vector<std::unordered_map<std::string, Value>> scopes_;
-  std::vector<std::unique_ptr<h5::File>> files_;
-  std::vector<h5::Dataset*> datasets_;
   std::int64_t pending_chunk_elements_ = 0;
   unsigned compute_salt_ = 0;
   int call_depth_ = 0;

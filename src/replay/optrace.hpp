@@ -1,14 +1,14 @@
 // Flat, settings-independent record of one metered run's I/O calls.
 //
-// An `OpTrace` captures the application-level calls a kernel or workload
-// driver issues against the simulated stack — file/dataset lifecycle,
-// dataset transfers, log writes, compute phases, barriers, and meter
-// marks. Everything the tuned settings decide (striping, MPI-IO hints,
-// alignment, chunk caching) is deliberately *not* in the trace: it is
-// re-substituted from the `StackSettings` at replay time. Replaying the
-// stream through hdf5lite → mpiio → mpisim → pfs therefore produces
-// bit-identical `PerfResult`s to re-running the source program, provided
-// the program's control flow never observes a tunable
+// An `OpTrace` captures the application-level ops a kernel or workload
+// driver issues through `wl::OpExecutor`, one op per executor call:
+// file/dataset lifecycle, dataset transfers, log writes, compute phases,
+// barriers, and meter marks. Everything the tuned settings decide
+// (striping, MPI-IO hints, alignment, chunk caching) is deliberately
+// *not* in the trace: it is re-substituted from the `StackSettings` at
+// replay time. Replaying the stream through the same executor therefore
+// produces bit-identical `PerfResult`s to re-running the source program,
+// provided the program's control flow never observes a tunable
 // (`replay::settings_dependent` decides that).
 #pragma once
 
@@ -17,35 +17,29 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "hdf5lite/dataset.hpp"
 
 namespace tunio::replay {
 
 enum class OpKind : std::uint8_t {
-  kFileCtor,       ///< h5::File construction (open/create + superblock)
-  kFileFlush,      ///< h5::File::flush
-  kFileClose,      ///< h5::File::close (explicit or interpreter leak sweep)
-  kDatasetCreate,  ///< h5::File::create_dataset
-  kDatasetFlush,   ///< h5::Dataset::flush
-  kDatasetIo,      ///< h5::Dataset::write / read
-  kLogWrite,       ///< buffered stdio-style log append (fprintf_log)
-  kCompute,        ///< jittered per-rank compute followed by a barrier
-  kBarrier,        ///< application-level MPI_Barrier
-  kMpiReset,       ///< MpiSim::reset (setup/run separation, BD-CATS)
-  kFsQuiesce,      ///< PfsSimulator::quiesce
-  kMeterBegin,     ///< RunMeter::begin
-  kPhase,          ///< RunMeter::phase_begin
-  kMeterEnd,       ///< RunMeter::end
-};
-
-/// One rank's element selection of a `kDatasetIo` op.
-struct Sel {
-  unsigned rank = 0;
-  std::uint64_t start_element = 0;
-  std::uint64_t count = 0;
+  kFileCtor,       ///< OpExecutor::create_file
+  kFileFlush,      ///< OpExecutor::flush_file
+  kFileClose,      ///< OpExecutor::close_file (of an open file)
+  kDatasetCreate,  ///< OpExecutor::create_dataset
+  kDatasetFlush,   ///< OpExecutor::flush_dataset
+  kDatasetIo,      ///< OpExecutor::write / read
+  kLogWrite,       ///< OpExecutor::log_write (fprintf_log)
+  kCompute,        ///< OpExecutor::compute
+  kBarrier,        ///< OpExecutor::barrier
+  kMpiReset,       ///< OpExecutor::mpi_reset (setup/run separation, BD-CATS)
+  kFsQuiesce,      ///< OpExecutor::fs_quiesce
+  kMeterBegin,     ///< OpExecutor::meter_begin
+  kPhase,          ///< OpExecutor::phase
+  kMeterEnd,       ///< OpExecutor::meter_end
 };
 
 /// One recorded operation. Fields are overloaded per kind (see comments);
-/// object identity is by sequential id — the replay executor creates
+/// object identity is by sequential id in creation order — replay creates
 /// files/datasets in recorded order, so ids line up by construction.
 struct Op {
   OpKind kind = OpKind::kBarrier;
@@ -59,12 +53,12 @@ struct Op {
   std::uint32_t salt = 0;   ///< kCompute: jitter salt; kPhase: trace::Phase
   std::uint32_t sel_begin = 0;  ///< kDatasetIo: range into OpTrace::sels
   std::uint32_t sel_count = 0;
-  std::string text;  ///< resolved path (kFileCtor/kLogWrite) or dataset name
+  std::string text{};  ///< resolved path (kFileCtor/kLogWrite) or dataset name
 };
 
 struct OpTrace {
   std::vector<Op> ops;
-  std::vector<Sel> sels;  ///< flat selection pool referenced by kDatasetIo
+  std::vector<h5::Selection> sels;  ///< flat pool referenced by kDatasetIo
   std::uint32_t num_files = 0;
   std::uint32_t num_datasets = 0;
 };

@@ -1,13 +1,14 @@
 // Replay side of the evaluation fast path.
 //
-// `replay()` pushes a recorded op stream straight through
-// hdf5lite → mpiio → mpisim → pfs with the *current* settings
-// substituted at every decision point the stack makes (file creation,
-// dataset creation, log creation, MPI-IO hints). No interpreter, no
-// workload generator, no per-evaluation AST walk — only the simulated
-// stack itself runs. For settings-invariant programs the result is
-// bit-identical to re-running the source (the differential tests and
-// ObjectiveBase's verification evaluation enforce this).
+// `replay()` feeds a recorded op stream back into the methods of a fresh
+// `wl::OpExecutor`, the same ones the interpreter and the native drivers
+// call, built with the *current* settings. The executor substitutes them
+// at every decision point the stack makes (file creation, dataset
+// creation, log creation, MPI-IO hints). No interpreter, no workload
+// generator, no per-evaluation AST walk — only the simulated stack itself
+// runs. For settings-invariant programs the result is bit-identical to
+// re-running the source (the differential tests and ObjectiveBase's
+// verification evaluation enforce this).
 #pragma once
 
 #include "config/stack_settings.hpp"

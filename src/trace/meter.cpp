@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "obs/json.hpp"
 #include "obs/tracer.hpp"
-#include "replay/hooks.hpp"
 
 namespace tunio::trace {
 
@@ -39,7 +38,6 @@ void RunMeter::on_io(const pfs::IoRequest& request) {
 
 void RunMeter::begin() {
   TUNIO_CHECK_MSG(!active_, "RunMeter::begin while active");
-  if (replay::Recorder* rec = replay::active_recorder()) rec->on_meter_begin();
   active_ = true;
   current_ = Phase::kOther;
   run_start_ = mpi_.max_clock();
@@ -80,16 +78,12 @@ void RunMeter::close_phase() {
 
 void RunMeter::phase_begin(Phase phase) {
   TUNIO_CHECK_MSG(active_, "RunMeter::phase_begin before begin");
-  if (replay::Recorder* rec = replay::active_recorder()) {
-    rec->on_phase(static_cast<int>(phase));
-  }
   close_phase();
   current_ = phase;
 }
 
 PerfResult RunMeter::end() {
   TUNIO_CHECK_MSG(active_, "RunMeter::end before begin");
-  if (replay::Recorder* rec = replay::active_recorder()) rec->on_meter_end();
   close_phase();
   active_ = false;
   detach();

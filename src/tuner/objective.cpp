@@ -2,17 +2,17 @@
 
 #include <atomic>
 #include <bit>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "minic/parser.hpp"
 #include "obs/metrics.hpp"
-#include "replay/hooks.hpp"
 #include "replay/invariance.hpp"
 #include "replay/optrace.hpp"
+#include "replay/recorder.hpp"
 #include "replay/replayer.hpp"
 #include "workloads/sources.hpp"
 
@@ -97,26 +97,17 @@ class ObjectiveBase : public Objective {
   //
   // State machine (all transitions under mutex_):
   //
-  //   kIdle --record--> kRecording --ok--> kRecorded --verify--> kVerifying
-  //     --bit-identical--> kVerified (replay-only from here on)
-  //     --mismatch / invalid trace / throw--> kDisabled (interpret forever)
+  //   kIdle --record--> kRecorded --verify--> kVerified (replay from here on)
+  //     --invalid trace / mismatch / throw--> kDisabled (interpret forever)
   //
-  // The evaluation that records or verifies is the only one running while
-  // the state is kRecording or kVerifying; every other evaluation waits
-  // for it to settle. A waiter therefore only ever waits on a run already
-  // in progress on another thread, so a shared engine cannot deadlock,
-  // and an eligible objective interprets exactly two evaluations however
-  // many threads call it. Replay is only used after it was proven to
-  // produce the same bits as interpretation.
+  // The evaluation that records or verifies holds mutex_ for its whole
+  // run, so every other evaluation waits for it. A waiter therefore only
+  // ever waits on a run already in progress on another thread, so a
+  // shared engine cannot deadlock, and an eligible objective interprets
+  // exactly two evaluations however many threads call it. Replay is only
+  // used after it was proven to produce the same bits as interpretation.
 
-  enum class FastState {
-    kIdle,
-    kRecording,
-    kRecorded,
-    kVerifying,
-    kVerified,
-    kDisabled,
-  };
+  enum class FastState { kIdle, kRecorded, kVerified, kDisabled };
 
   /// Everything an evaluation derives from the configuration alone: the
   /// resolved stack settings and the noise factors `1 + N(0, sigma)`,
@@ -177,69 +168,52 @@ class ObjectiveBase : public Objective {
     obs::MetricsRegistry::global().counter(metric).add(1);
   }
 
-  /// Leaves kRecording/kVerifying for `next` and wakes the waiters.
-  void settle(FastState next, std::shared_ptr<const replay::OpTrace> trace) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      state_ = next;
-      trace_ = std::move(trace);
-    }
-    settled_.notify_all();
-  }
-
   RunOutcome run_via_fast_path(const cfg::StackSettings& settings) {
-    FastState seen = FastState::kDisabled;
-    std::shared_ptr<const replay::OpTrace> trace;
-    if (gate_.eligible && testbed_.replay == ReplayMode::kAuto) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      settled_.wait(lock, [this] {
-        return state_ != FastState::kRecording &&
-               state_ != FastState::kVerifying;
-      });
-      seen = state_;
-      trace = trace_;
-      if (seen == FastState::kIdle) state_ = FastState::kRecording;
-      if (seen == FastState::kRecorded) state_ = FastState::kVerifying;
+    if (!gate_.eligible || testbed_.replay != ReplayMode::kAuto) {
+      count("tuner.eval.interpreted");
+      return run_interpreted(settings);
     }
-    if (seen == FastState::kVerified) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (state_ == FastState::kVerified) {
+      lock.unlock();  // trace_ never changes once verified
       count("tuner.eval.replayed");
-      return run_replayed(*trace, settings);
+      return run_replayed(trace_, settings);
     }
     count("tuner.eval.interpreted");
-    if (seen == FastState::kDisabled) return run_interpreted(settings);
-
-    // This evaluation records (kIdle) or verifies (kRecorded) while the
-    // others wait; whatever happens, it must settle the state.
-    FastState next = FastState::kDisabled;
-    RunOutcome out;
-    try {
-      if (seen == FastState::kIdle) {
-        replay::Recorder recorder;
-        {
-          replay::RecordScope scope(recorder);
-          out = run_interpreted(settings);
-        }
-        if (recorder.valid()) {
-          trace = std::make_shared<const replay::OpTrace>(recorder.take());
-          next = FastState::kRecorded;
-        }
-      } else {
-        out = run_interpreted(settings);
-        if (same_outcome(out, run_replayed(*trace, settings))) {
-          next = FastState::kVerified;
-        }
-      }
-    } catch (...) {
-      settle(FastState::kDisabled, nullptr);
-      throw;
+    if (state_ == FastState::kDisabled) {
+      lock.unlock();
+      return run_interpreted(settings);
     }
-    settle(next, std::move(trace));
+
+    // This evaluation records (kIdle) or verifies (kRecorded) with mutex_
+    // held. The state reads kDisabled until the run succeeds, so a run
+    // that throws leaves the fast path off.
+    const FastState seen = std::exchange(state_, FastState::kDisabled);
+    if (seen == FastState::kIdle) {
+      replay::Recorder recorder;
+      RunOutcome out;
+      {
+        replay::RecordScope scope(recorder);
+        out = run_interpreted(settings);
+      }
+      if (recorder.valid()) {
+        trace_ = recorder.take();
+        state_ = FastState::kRecorded;
+      }
+      return out;
+    }
+    const RunOutcome out = run_interpreted(settings);
+    if (same_outcome(out, run_replayed(trace_, settings))) {
+      state_ = FastState::kVerified;
+    } else {
+      trace_ = {};
+    }
     return out;
   }
 
   const ReplayGate gate_;
+  /// Guards state_ and trace_; held for the whole record or verify run.
   std::mutex mutex_;
-  std::condition_variable settled_;
   /// Bounds the per-genome inputs cache; overflow just recomputes.
   static constexpr std::size_t kInputsCacheCap = 1u << 16;
   std::mutex inputs_mutex_;
@@ -247,7 +221,7 @@ class ObjectiveBase : public Objective {
       inputs_cache_;
 
   FastState state_ = FastState::kIdle;
-  std::shared_ptr<const replay::OpTrace> trace_;
+  replay::OpTrace trace_;  ///< recorded once state_ is kRecorded
 };
 
 class WorkloadObjective final : public ObjectiveBase {

@@ -17,10 +17,11 @@
 // use a record-once/replay-many fast path: the first evaluation records a
 // flat trace of stack operations, the second verifies that replaying it is
 // bit-identical to interpreting, and every later evaluation replays the
-// trace straight into the hdf5lite/mpiio/pfs stack — skipping the
-// interpreter or workload driver entirely. Evaluations that arrive while
-// the record or the verify runs wait for it, so an eligible objective
-// interprets exactly two evaluations at any worker count. See src/replay.
+// trace through the same op executor (`wl::OpExecutor`) — skipping the
+// interpreter or workload driver entirely. The record and the verify
+// each run under the objective's lock, so evaluations that arrive
+// meanwhile wait for them and an eligible objective interprets exactly
+// two evaluations at any worker count. See src/replay.
 #pragma once
 
 #include <functional>

@@ -9,7 +9,6 @@
 // chunk-heavy member of the workload suite.
 #include <sstream>
 
-#include "hdf5lite/file.hpp"
 #include "workloads/detail.hpp"
 #include "workloads/workload.hpp"
 
@@ -29,19 +28,15 @@ class FlashWorkload final : public Workload {
                 const RunOptions& options) const override {
     const unsigned blocks =
         detail::reduce_iterations(params_.blocks_per_rank, options.loop_scale);
-    const double extrapolate =
-        detail::extrapolation_factor(params_.blocks_per_rank, blocks);
 
-    trace::RunMeter meter(mpi, fs);
-    meter.begin();
-    const SimSeconds start = mpi.max_clock();
+    OpExecutor exec(mpi, fs, settings);
+    exec.meter_begin();
 
-    meter.phase_begin(trace::Phase::kOther);
-    compute_phase(
-        mpi, params_.compute_seconds_per_step * options.compute_scale,
-        /*salt=*/7);
+    exec.phase(trace::Phase::kOther);
+    exec.compute(params_.compute_seconds_per_step * options.compute_scale,
+                 /*salt=*/7);
 
-    meter.phase_begin(trace::Phase::kWrite);
+    exec.phase(trace::Phase::kWrite);
     const Bytes elem = 8;  // double-precision unknowns
     const std::uint64_t block_elems = params_.block_bytes / elem;
     const std::uint64_t dataset_elems =
@@ -50,16 +45,13 @@ class FlashWorkload final : public Workload {
     // Checkpoint file: every "unknown" variable is one chunked dataset
     // whose chunk is exactly one block.
     {
-      h5::File file(mpi, fs, options.path_prefix + "_flash_chk.h5",
-                    settings.fapl, settings.mpiio,
-                    detail::create_options(settings, options));
-      h5::DatasetCreateProps dcpl;
-      dcpl.chunk_elements = block_elems;
+      const std::uint32_t file = exec.create_file(
+          options.path_prefix + "_flash_chk.h5", options.memory_tier);
       for (unsigned d = 0; d < params_.checkpoint_datasets; ++d) {
         std::ostringstream name;
         name << "unk" << d;
-        h5::Dataset& ds = file.create_dataset(name.str(), elem, dataset_elems,
-                                              dcpl, settings.chunk_cache);
+        const std::uint32_t ds = exec.create_dataset(
+            file, name.str(), elem, dataset_elems, block_elems);
         // Blocks are interleaved across ranks: block b of rank r sits at
         // global block index b*P + r.
         for (unsigned b = 0; b < blocks; ++b) {
@@ -70,26 +62,22 @@ class FlashWorkload final : public Workload {
                 static_cast<std::uint64_t>(b) * mpi.size() + r;
             selections.push_back({r, global_block * block_elems, block_elems});
           }
-          ds.write(selections, h5::TransferProps{/*collective=*/true});
+          exec.write(ds, selections, /*collective=*/true);
         }
       }
-      file.close();
+      exec.close_file(file);
     }
 
     // Plotfile: fewer, smaller (single-precision, quarter-size) datasets.
     {
-      h5::File file(mpi, fs, options.path_prefix + "_flash_plt.h5",
-                    settings.fapl, settings.mpiio,
-                    detail::create_options(settings, options));
+      const std::uint32_t file = exec.create_file(
+          options.path_prefix + "_flash_plt.h5", options.memory_tier);
       const std::uint64_t plot_block = block_elems / 4;
-      h5::DatasetCreateProps dcpl;
-      dcpl.chunk_elements = plot_block;
       for (unsigned d = 0; d < params_.plotfile_datasets; ++d) {
         std::ostringstream name;
         name << "plot" << d;
-        h5::Dataset& ds =
-            file.create_dataset(name.str(), 4, plot_block * blocks * mpi.size(),
-                                dcpl, settings.chunk_cache);
+        const std::uint32_t ds = exec.create_dataset(
+            file, name.str(), 4, plot_block * blocks * mpi.size(), plot_block);
         for (unsigned b = 0; b < blocks; ++b) {
           std::vector<h5::Selection> selections;
           selections.reserve(mpi.size());
@@ -98,20 +86,14 @@ class FlashWorkload final : public Workload {
                 static_cast<std::uint64_t>(b) * mpi.size() + r;
             selections.push_back({r, global_block * plot_block, plot_block});
           }
-          ds.write(selections, h5::TransferProps{/*collective=*/true});
+          exec.write(ds, selections, /*collective=*/true);
         }
       }
-      file.close();
+      exec.close_file(file);
     }
 
-    RunResult result;
-    result.perf = meter.end();
-    result.sim_seconds = mpi.max_clock() - start;
-    result.predicted_bytes_written =
-        static_cast<double>(result.perf.counters.bytes_written) * extrapolate;
-    result.predicted_write_ops =
-        static_cast<double>(result.perf.counters.write_ops) * extrapolate;
-    return result;
+    return exec.meter_end(
+        detail::extrapolation_factor(params_.blocks_per_rank, blocks));
   }
 
  private:

@@ -8,7 +8,6 @@
 // component strips when it reduces the program to its I/O kernel.
 #include <sstream>
 
-#include "hdf5lite/file.hpp"
 #include "workloads/detail.hpp"
 #include "workloads/workload.hpp"
 
@@ -28,12 +27,9 @@ class MacsioWorkload final : public Workload {
                 const RunOptions& options) const override {
     const unsigned dumps =
         detail::reduce_iterations(params_.num_dumps, options.loop_scale);
-    const double extrapolate =
-        detail::extrapolation_factor(params_.num_dumps, dumps);
 
-    trace::RunMeter meter(mpi, fs);
-    meter.begin();
-    const SimSeconds start = mpi.max_clock();
+    OpExecutor exec(mpi, fs, settings);
+    exec.meter_begin();
 
     const std::uint64_t parts_per_rank =
         params_.bytes_per_rank_per_dump / params_.part_bytes;
@@ -44,20 +40,17 @@ class MacsioWorkload final : public Workload {
     const std::string log_path = options.path_prefix + "_macsio.log";
 
     for (unsigned dump = 0; dump < dumps; ++dump) {
-      meter.phase_begin(trace::Phase::kOther);
-      compute_phase(
-          mpi, params_.compute_seconds_per_dump * options.compute_scale,
-          /*salt=*/dump);
+      exec.phase(trace::Phase::kOther);
+      exec.compute(params_.compute_seconds_per_dump * options.compute_scale,
+                   /*salt=*/dump);
 
-      meter.phase_begin(trace::Phase::kWrite);
+      exec.phase(trace::Phase::kWrite);
       std::ostringstream path;
       path << options.path_prefix << "_macsio_" << dump << ".h5";
-      h5::File file(mpi, fs, path.str(), settings.fapl, settings.mpiio,
-                    detail::create_options(settings, options));
-      h5::DatasetCreateProps dcpl;
-      dcpl.chunk_elements = part_elems;
-      h5::Dataset& ds = file.create_dataset("mesh", elem, dump_elems, dcpl,
-                                            settings.chunk_cache);
+      const std::uint32_t file =
+          exec.create_file(path.str(), options.memory_tier);
+      const std::uint32_t ds =
+          exec.create_dataset(file, "mesh", elem, dump_elems, part_elems);
       // Each rank writes its parts; parts of a rank are contiguous.
       for (std::uint64_t p = 0; p < parts_per_rank; ++p) {
         std::vector<h5::Selection> selections;
@@ -68,26 +61,20 @@ class MacsioWorkload final : public Workload {
               part_elems;
           selections.push_back({r, base, part_elems});
         }
-        ds.write(selections, h5::TransferProps{/*collective=*/true});
+        exec.write(ds, selections, /*collective=*/true);
       }
-      file.close();
+      exec.close_file(file);
 
       if (options.include_log_writes) {
         for (unsigned l = 0; l < params_.log_writes_per_dump; ++l) {
-          log_write(mpi, fs, log_path, params_.log_write_bytes,
-                    /*memory_tier=*/false);
+          exec.log_write(log_path, params_.log_write_bytes,
+                         /*memory_tier=*/false);
         }
       }
     }
 
-    RunResult result;
-    result.perf = meter.end();
-    result.sim_seconds = mpi.max_clock() - start;
-    result.predicted_bytes_written =
-        static_cast<double>(result.perf.counters.bytes_written) * extrapolate;
-    result.predicted_write_ops =
-        static_cast<double>(result.perf.counters.write_ops) * extrapolate;
-    return result;
+    return exec.meter_end(
+        detail::extrapolation_factor(params_.num_dumps, dumps));
   }
 
  private:

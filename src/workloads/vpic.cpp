@@ -6,7 +6,6 @@
 // HPC I/O benchmark (α = 1).
 #include <sstream>
 
-#include "hdf5lite/file.hpp"
 #include "workloads/detail.hpp"
 #include "workloads/workload.hpp"
 
@@ -26,12 +25,9 @@ class VpicWorkload final : public Workload {
                 const RunOptions& options) const override {
     const unsigned steps =
         detail::reduce_iterations(params_.timesteps, options.loop_scale);
-    const double extrapolate =
-        detail::extrapolation_factor(params_.timesteps, steps);
 
-    trace::RunMeter meter(mpi, fs);
-    meter.begin();
-    const SimSeconds start = mpi.max_clock();
+    OpExecutor exec(mpi, fs, settings);
+    exec.meter_begin();
 
     static constexpr const char* kVars[] = {"x",  "y",  "z",      "ux",
                                             "uy", "uz", "energy", "id"};
@@ -39,39 +35,32 @@ class VpicWorkload final : public Workload {
         params_.particles_per_rank * mpi.size();
 
     for (unsigned step = 0; step < steps; ++step) {
-      meter.phase_begin(trace::Phase::kOther);
-      compute_phase(
-          mpi, params_.compute_seconds_per_step * options.compute_scale,
-          /*salt=*/step);
+      exec.phase(trace::Phase::kOther);
+      exec.compute(params_.compute_seconds_per_step * options.compute_scale,
+                   /*salt=*/step);
 
-      meter.phase_begin(trace::Phase::kWrite);
+      exec.phase(trace::Phase::kWrite);
       std::ostringstream path;
       path << options.path_prefix << "_vpic_t" << step << ".h5";
-      h5::File file(mpi, fs, path.str(), settings.fapl, settings.mpiio,
-                    detail::create_options(settings, options));
+      const std::uint32_t file =
+          exec.create_file(path.str(), options.memory_tier);
       for (unsigned v = 0; v < 8; ++v) {
         const Bytes elem = (v == 7) ? 8 : 4;  // id is 64-bit
-        h5::Dataset& ds = file.create_dataset(kVars[v], elem, total, {},
-                                              settings.chunk_cache);
+        const std::uint32_t ds = exec.create_dataset(
+            file, kVars[v], elem, total, /*chunk_elements=*/0);
         std::vector<h5::Selection> selections;
         selections.reserve(mpi.size());
         for (unsigned r = 0; r < mpi.size(); ++r) {
           selections.push_back(
               {r, r * params_.particles_per_rank, params_.particles_per_rank});
         }
-        ds.write(selections, h5::TransferProps{/*collective=*/true});
+        exec.write(ds, selections, /*collective=*/true);
       }
-      file.close();
+      exec.close_file(file);
     }
 
-    RunResult result;
-    result.perf = meter.end();
-    result.sim_seconds = mpi.max_clock() - start;
-    result.predicted_bytes_written =
-        static_cast<double>(result.perf.counters.bytes_written) * extrapolate;
-    result.predicted_write_ops =
-        static_cast<double>(result.perf.counters.write_ops) * extrapolate;
-    return result;
+    return exec.meter_end(
+        detail::extrapolation_factor(params_.timesteps, steps));
   }
 
  private:

@@ -17,11 +17,4 @@ double extrapolation_factor(unsigned original, unsigned reduced) {
   return static_cast<double>(original) / static_cast<double>(reduced);
 }
 
-pfs::CreateOptions create_options(const cfg::StackSettings& settings,
-                                  const RunOptions& options) {
-  pfs::CreateOptions create = settings.lustre;
-  if (options.memory_tier) create.tier = pfs::Tier::kMemory;
-  return create;
-}
-
 }  // namespace tunio::wl::detail

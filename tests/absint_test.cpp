@@ -18,7 +18,7 @@
 #include "minic/parser.hpp"
 #include "mpisim/mpisim.hpp"
 #include "pfs/pfs.hpp"
-#include "replay/hooks.hpp"
+#include "replay/recorder.hpp"
 #include "replay/trace_stats.hpp"
 #include "workloads/sources.hpp"
 

@@ -273,6 +273,13 @@ TEST(Discovery, WorkloadSourcesProduceKernels) {
   }
 }
 
+TEST(Discovery, ProgramWithoutMainThrows) {
+  // The slicer rejects a program without main, and no kernel can be
+  // built without one: discovery fails with tunio::Error.
+  EXPECT_THROW(discover_io(std::string("int helper() { return 0; }"), {}),
+               Error);
+}
+
 /// Property: the marking loop is monotone — the kernel of a kernel keeps
 /// everything (all remaining statements are I/O-relevant).
 class MarkingFixpoint : public ::testing::TestWithParam<int> {};
@@ -292,21 +299,27 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, MarkingFixpoint,
 
 // --- marking engines -------------------------------------------------------
 
+/// The source as discover_io sees it after its normalization round-trip,
+/// so statement ids match the kernel's kept_stmt_ids.
+minic::Program normalized(const std::string& source) {
+  return minic::parse(minic::print(minic::parse(source)));
+}
+
 TEST(Engines, SlicerIsDefaultAndDoesNotFallBack) {
   KernelResult result = discover_io(std::string(kFigure5Like), {});
-  EXPECT_EQ(result.engine_used, MarkingEngine::kDataflowSlicer);
-  EXPECT_FALSE(result.used_fallback);
+  EXPECT_EQ(result.kept_stmt_ids,
+            analysis::slice_io(normalized(kFigure5Like), {"h5"}).kept);
 }
 
 TEST(Engines, LegacyMarkerCanBeRequested) {
-  DiscoveryOptions options;
-  options.engine = MarkingEngine::kLegacyMarker;
-  KernelResult legacy = discover_io(std::string(kFigure5Like), options);
-  EXPECT_EQ(legacy.engine_used, MarkingEngine::kLegacyMarker);
-  EXPECT_FALSE(legacy.used_fallback);
-  // On this source both engines agree; the legacy kernel is never smaller.
+  const std::set<int> legacy = mark_kept(normalized(kFigure5Like), {"h5"});
+  // On this source both engines agree; the legacy kept set is never
+  // smaller.
   KernelResult precise = discover_io(std::string(kFigure5Like), {});
-  EXPECT_GE(legacy.kept_statements, precise.kept_statements);
+  EXPECT_TRUE(std::includes(legacy.begin(), legacy.end(),
+                            precise.kept_stmt_ids.begin(),
+                            precise.kept_stmt_ids.end()));
+  EXPECT_GE(legacy.size(), precise.kept_stmt_ids.size());
 }
 
 TEST(Engines, SlicerIsStrictlyMorePreciseOnDeadReassignment) {
@@ -323,14 +336,21 @@ TEST(Engines, SlicerIsStrictlyMorePreciseOnDeadReassignment) {
     }
   )";
   KernelResult precise = discover_io(std::string(source), {});
-  DiscoveryOptions legacy_options;
-  legacy_options.engine = MarkingEngine::kLegacyMarker;
-  KernelResult legacy = discover_io(std::string(source), legacy_options);
+  const minic::Program program = normalized(source);
+  const std::set<int> legacy = mark_kept(program, {"h5"});
+  int dead_id = -1;
+  for (const auto& stmt : program.functions[0].body->statements) {
+    if (stmt->kind == minic::StmtKind::kAssign && stmt->name == "n") {
+      dead_id = stmt->id;
+    }
+  }
+  ASSERT_GE(dead_id, 0);
   // The legacy marker keeps the dead `n = 99` (n is a dependent name);
   // the slicer proves it reaches no use.
-  EXPECT_NE(legacy.kernel_source.find("n = 99;"), std::string::npos);
+  EXPECT_EQ(legacy.count(dead_id), 1u);
+  EXPECT_EQ(precise.kept_stmt_ids.count(dead_id), 0u);
   EXPECT_EQ(precise.kernel_source.find("n = 99;"), std::string::npos);
-  EXPECT_LT(precise.kept_statements, legacy.kept_statements);
+  EXPECT_LT(precise.kept_stmt_ids.size(), legacy.size());
 }
 
 TEST(Engines, ManualKeepWorksWithSlicer) {
@@ -353,7 +373,6 @@ TEST(Engines, ManualKeepWorksWithSlicer) {
   DiscoveryOptions options;
   options.manual_keep.insert(decl_id);
   KernelResult result = discover_io(program, options);
-  EXPECT_EQ(result.engine_used, MarkingEngine::kDataflowSlicer);
   EXPECT_NE(result.kernel_source.find("double important = 1.5;"),
             std::string::npos);
 }
@@ -398,7 +417,6 @@ TEST_P(SlicerFidelity, KernelIoMetricsMatchFullApplication) {
   DiscoveryOptions options;
   options.io_prefixes = {"h5", "fprintf_log"};
   KernelResult kernel = discover_io(source, options);
-  EXPECT_EQ(kernel.engine_used, MarkingEngine::kDataflowSlicer);
 
   auto run = [](const minic::Program& program) {
     mpisim::MpiSim mpi(8);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,12 +24,13 @@
 #include "mpisim/mpisim.hpp"
 #include "obs/metrics.hpp"
 #include "pfs/pfs.hpp"
-#include "replay/hooks.hpp"
 #include "replay/invariance.hpp"
 #include "replay/optrace.hpp"
+#include "replay/recorder.hpp"
 #include "replay/replayer.hpp"
 #include "trace/meter.hpp"
 #include "tuner/objective.hpp"
+#include "workloads/ops.hpp"
 #include "workloads/sources.hpp"
 #include "workloads/workload.hpp"
 
@@ -125,10 +127,28 @@ TEST(Recorder, NotRecordingOutsideScope) {
   {
     replay::RecordScope scope(recorder);
     EXPECT_EQ(replay::active_recorder(), &recorder);
-    replay::SuppressScope suppress;
-    EXPECT_EQ(replay::active_recorder(), nullptr);
   }
   EXPECT_EQ(replay::active_recorder(), nullptr);
+}
+
+TEST(Recorder, OpOnObjectCreatedBeforeRecordingIsInvalid) {
+  // A trace must name only objects it created: recording that starts
+  // after a file exists cannot be replayed.
+  mpisim::MpiSim mpi(kRanks);
+  pfs::PfsSimulator fs;
+  const cfg::StackSettings settings = cfg::default_settings();
+  wl::OpExecutor exec(mpi, fs, settings);
+  const std::uint32_t file = exec.create_file("/scratch/early.h5", false);
+  replay::Recorder recorder;
+  {
+    replay::RecordScope scope(recorder);
+    exec.meter_begin();
+    exec.flush_file(file);
+    exec.meter_end();
+  }
+  EXPECT_FALSE(recorder.valid());
+  EXPECT_NE(recorder.error().find("unrecorded file"), std::string::npos)
+      << recorder.error();
 }
 
 TEST(Recorder, CapturesInterpreterRun) {
@@ -391,6 +411,188 @@ TEST(ReplayDifferential, NativeDriversUnderRunOptions) {
       expect_replay_matches_driver(name, options);
     }
   }
+}
+
+// --- op-trace pins ----------------------------------------------------------
+
+/// One FNV-1a step over the eight bytes of `v`.
+void fnv_add(std::uint64_t& hash, std::uint64_t v) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (v >> (8 * byte)) & 0xFF;
+    hash *= 0x100000001B3ull;
+  }
+}
+
+/// FNV-1a over the exact bits of every field of a trace, selections
+/// included: two traces hash alike only if replaying them is identical.
+std::uint64_t trace_hash(const replay::OpTrace& trace) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  fnv_add(hash, trace.num_files);
+  fnv_add(hash, trace.num_datasets);
+  fnv_add(hash, trace.ops.size());
+  for (const replay::Op& op : trace.ops) {
+    for (const std::uint64_t v :
+         {static_cast<std::uint64_t>(op.kind), std::uint64_t{op.flag},
+          std::uint64_t{op.flag2}, std::uint64_t{op.id}, op.a, op.b, op.c,
+          std::bit_cast<std::uint64_t>(op.seconds), std::uint64_t{op.salt},
+          std::uint64_t{op.sel_begin}, std::uint64_t{op.sel_count},
+          std::uint64_t{op.text.size()}}) {
+      fnv_add(hash, v);
+    }
+    for (const char ch : op.text) fnv_add(hash, static_cast<unsigned char>(ch));
+  }
+  fnv_add(hash, trace.sels.size());
+  for (const auto& sel : trace.sels) {
+    fnv_add(hash, sel.rank);
+    fnv_add(hash, sel.start_element);
+    fnv_add(hash, sel.count);
+  }
+  return hash;
+}
+
+/// Records one run on a fresh 16-rank stack.
+replay::OpTrace record_run(
+    const std::function<void(mpisim::MpiSim&, pfs::PfsSimulator&)>& run) {
+  replay::Recorder recorder;
+  {
+    mpisim::MpiSim mpi(kRanks);
+    pfs::PfsSimulator fs;
+    replay::RecordScope scope(recorder);
+    run(mpi, fs);
+  }
+  EXPECT_TRUE(recorder.valid()) << recorder.error();
+  return recorder.take();
+}
+
+std::shared_ptr<const wl::Workload> default_workload(const std::string& name) {
+  if (name == "VPIC-IO") return wl::make_vpic();
+  if (name == "FLASH-IO") return wl::make_flash();
+  if (name == "HACC-IO") return wl::make_hacc();
+  if (name == "MACSio") return wl::make_macsio();
+  return wl::make_bdcats();
+}
+
+/// The trace hashes of every executor's op stream. `label` names the
+/// run; `hash` is what the recorded trace must hash to.
+struct TracePin {
+  std::string label;
+  std::uint64_t hash;
+};
+
+void expect_pins(const std::vector<TracePin>& got,
+                 const std::vector<TracePin>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  std::ostringstream all;
+  for (const TracePin& pin : got) {
+    all << "{\"" << pin.label << "\", 0x" << std::hex << pin.hash << "ull},\n";
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].label, want[i].label);
+    EXPECT_EQ(got[i].hash, want[i].hash) << got[i].label << "\n" << all.str();
+  }
+}
+
+TEST(OpTracePins, NativeDrivers) {
+  // Each driver at its default parameters, as the full application and
+  // as the I/O kernel Application I/O Discovery would make of it.
+  wl::RunOptions kernel;
+  kernel.compute_scale = 0.0;
+  kernel.loop_scale = 0.01;
+  kernel.memory_tier = true;
+  kernel.include_log_writes = false;
+  const cfg::StackSettings settings = cfg::default_settings();
+  std::vector<TracePin> got;
+  for (const char* name : kWorkloadNames) {
+    const std::shared_ptr<const wl::Workload> workload =
+        default_workload(name);
+    for (const auto& [label, options] :
+         {std::pair<const char*, wl::RunOptions>{"driver", {}},
+          {"driver kernel", kernel}}) {
+      const replay::OpTrace trace =
+          record_run([&](mpisim::MpiSim& mpi, pfs::PfsSimulator& fs) {
+            workload->run(mpi, fs, settings, options);
+          });
+      got.push_back({std::string(name) + " " + label, trace_hash(trace)});
+    }
+  }
+  expect_pins(got, {
+                       {"VPIC-IO driver", 0x68c6f858667b2d62ull},
+                       {"VPIC-IO driver kernel", 0xb070515323d16c54ull},
+                       {"FLASH-IO driver", 0xdebe63a159d4813full},
+                       {"FLASH-IO driver kernel", 0xfd930b0fec26120dull},
+                       {"HACC-IO driver", 0xec3b0a26c0af0ba7ull},
+                       {"HACC-IO driver kernel", 0x32f6c0622074ee7full},
+                       {"MACSio driver", 0x957f28faebf32475ull},
+                       {"MACSio driver kernel", 0xdbbc156f76b218d5ull},
+                       {"BD-CATS driver", 0x4fc60946ab46065bull},
+                       {"BD-CATS driver kernel", 0x1f199ad7eb2ec398ull},
+                   });
+}
+
+TEST(OpTracePins, SourcesAndDiscoveredKernels) {
+  discovery::DiscoveryOptions options;
+  options.loop_reduction = 0.01;
+  options.path_switching = true;
+  std::vector<TracePin> got;
+  for (const char* name : kWorkloadNames) {
+    const std::string source = *wl::sources::source_for(name);
+    for (const auto& [label, program] :
+         {std::pair<std::string, minic::Program>{"source",
+                                                 minic::parse(source)},
+          {"source kernel", discovery::discover_io(source, options).kernel}}) {
+      const replay::OpTrace trace =
+          record_run([&](mpisim::MpiSim& mpi, pfs::PfsSimulator& fs) {
+            interp::execute(program, mpi, fs, cfg::default_settings());
+          });
+      got.push_back({std::string(name) + " " + label, trace_hash(trace)});
+    }
+  }
+  expect_pins(got, {
+                       {"VPIC-IO source", 0xb2fe71a4deceec9bull},
+                       {"VPIC-IO source kernel", 0x390c49925a8a991full},
+                       {"FLASH-IO source", 0xb9dfb6b53c8b57a5ull},
+                       {"FLASH-IO source kernel", 0x283772c60b53a56eull},
+                       {"HACC-IO source", 0xc03cc568427bb6cfull},
+                       {"HACC-IO source kernel", 0xc4c1d59353563c67ull},
+                       {"MACSio source", 0xe08c615c3ab1720aull},
+                       {"MACSio source kernel", 0x478bc6618b611787ull},
+                       {"BD-CATS source", 0x23632ac286176147ull},
+                       {"BD-CATS source kernel", 0xaf69b692a9501482ull},
+                   });
+}
+
+TEST(OpTracePins, DatasetOpenReturnsANewHandleToTheSameDataset) {
+  // h5dopen hands the program a fresh handle, but the trace names the
+  // dataset the handle points to, so both handles hit dataset 0.
+  const minic::Program program = minic::parse(R"(
+int main() {
+  int f = h5fcreate("/scratch/open.h5");
+  int d = h5dcreate(f, "x", 8, 1024 * mpi_size());
+  int e = h5dopen(f, "x");
+  h5dwrite_all(d, 512);
+  h5dread_all(e, 512);
+  h5dclose(e);
+  h5fclose(f);
+  return d * 100 + e;
+}
+)");
+  interp::InterpResult result;
+  const replay::OpTrace trace =
+      record_run([&](mpisim::MpiSim& mpi, pfs::PfsSimulator& fs) {
+        result = interp::execute(program, mpi, fs, cfg::default_settings());
+      });
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_EQ(trace.num_datasets, 1u);
+  int dataset_ops = 0;
+  for (const replay::Op& op : trace.ops) {
+    if (op.kind == replay::OpKind::kDatasetIo ||
+        op.kind == replay::OpKind::kDatasetFlush) {
+      EXPECT_EQ(op.id, 0u);
+      ++dataset_ops;
+    }
+  }
+  EXPECT_EQ(dataset_ops, 3);
+  expect_pins({{"h5dopen", trace_hash(trace)}}, {{"h5dopen", 0xdd39778dd80c7168ull}});
 }
 
 // --- static settings-invariance -------------------------------------------
