@@ -86,6 +86,8 @@ class SmartConfigGen {
   void reset_episode();
 
   bool offline_trained() const { return offline_trained_; }
+  const rl::StateObserver& observer() const { return observer_; }
+  const rl::QAgent& picker() const { return picker_; }
 
  private:
   std::vector<double> context_vector(const std::vector<std::size_t>& subset,

@@ -40,6 +40,12 @@ ChunkCache::ChunkCache(ChunkCacheProps props, Bytes chunk_bytes)
   const auto by_bytes =
       static_cast<std::size_t>(props_.rdcc_nbytes / chunk_bytes_);
   max_resident_ = std::min<std::size_t>(by_bytes, props_.rdcc_nslots);
+  // Size the pool and index up front for HDF5's default slot count, so a
+  // touch never pays for growth; a larger cache grows on demand.
+  const std::size_t upfront =
+      std::min<std::size_t>(max_resident_, ChunkCacheProps{}.rdcc_nslots);
+  nodes_.reserve(upfront);
+  index_.reserve(upfront + 1);  // a miss inserts before the victim leaves
 }
 
 ChunkCache::~ChunkCache() {
@@ -52,50 +58,71 @@ ChunkCache::~ChunkCache() {
 }
 
 bool ChunkCache::resident(const ChunkKey& key) const {
-  return entries_.count(key) > 0;
+  return index_.find(key) != nullptr;
 }
 
-void ChunkCache::insert(const ChunkKey& key, bool dirty,
-                        CacheOutcome& outcome) {
-  while (entries_.size() >= max_resident_ && !entries_.empty()) {
-    const ChunkKey victim = lru_.back();
-    lru_.pop_back();
-    auto it = entries_.find(victim);
-    ++stats_.evictions;
-    if (it->second.dirty) {
-      ++stats_.dirty_evictions;
-      outcome.evicted_dirty.push_back(victim);
+void ChunkCache::unlink(std::uint32_t node) {
+  Node& n = nodes_[node];
+  (n.prev == kNil ? head_ : nodes_[n.prev].next) = n.next;
+  (n.next == kNil ? tail_ : nodes_[n.next].prev) = n.prev;
+}
+
+void ChunkCache::push_front(std::uint32_t node) {
+  Node& n = nodes_[node];
+  n.prev = kNil;
+  n.next = head_;
+  (head_ == kNil ? tail_ : nodes_[head_].prev) = node;
+  head_ = node;
+}
+
+void ChunkCache::touch(const ChunkKey& key, bool write,
+                       CacheOutcome& outcome) {
+  // On a miss the new chunk takes a fresh pool node, or the LRU victim's.
+  const bool full = nodes_.size() == max_resident_;
+  const auto node = full ? tail_ : static_cast<std::uint32_t>(nodes_.size());
+  const auto [found, inserted] = index_.try_emplace(key, node);
+  if (!inserted) {
+    ++stats_.hits;
+    outcome.hit = true;
+    nodes_[*found].dirty |= write;
+    if (*found != head_) {
+      unlink(*found);
+      push_front(*found);
     }
-    entries_.erase(it);
+    return;
   }
-  lru_.push_front(key);
-  entries_[key] = Entry{lru_.begin(), dirty};
+  ++stats_.misses;
+  if (full) {
+    const Node& victim = nodes_[node];
+    ++stats_.evictions;
+    if (victim.dirty) {
+      ++stats_.dirty_evictions;
+      outcome.evicted_dirty = victim.key;
+    }
+    index_.erase(victim.key);
+    unlink(node);
+  } else {
+    nodes_.emplace_back();
+  }
+  nodes_[node].key = key;
+  nodes_[node].dirty = write;
+  push_front(node);
 }
 
 CacheOutcome ChunkCache::touch_write(const ChunkKey& key, Bytes covered_bytes,
                                      bool chunk_was_allocated) {
   CacheOutcome outcome;
+  // A partial write to a chunk that exists on disk but not in the cache
+  // must read it first; a chunk too big for the cache is written directly.
+  const bool partial = chunk_was_allocated && covered_bytes < chunk_bytes_;
   if (max_resident_ == 0) {
-    // Chunk does not fit in the cache at all: direct I/O.
     ++stats_.bypasses;
     outcome.bypass = true;
-    outcome.needs_preread =
-        chunk_was_allocated && covered_bytes < chunk_bytes_;
+    outcome.needs_preread = partial;
     return outcome;
   }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    ++stats_.hits;
-    outcome.hit = true;
-    it->second.dirty = true;
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(key);
-    it->second.lru_pos = lru_.begin();
-    return outcome;
-  }
-  ++stats_.misses;
-  outcome.needs_preread = chunk_was_allocated && covered_bytes < chunk_bytes_;
-  insert(key, /*dirty=*/true, outcome);
+  touch(key, /*write=*/true, outcome);
+  outcome.needs_preread = partial && !outcome.hit;
   return outcome;
 }
 
@@ -106,26 +133,16 @@ CacheOutcome ChunkCache::touch_read(const ChunkKey& key) {
     outcome.bypass = true;
     return outcome;
   }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    ++stats_.hits;
-    outcome.hit = true;
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(key);
-    it->second.lru_pos = lru_.begin();
-    return outcome;
-  }
-  ++stats_.misses;
-  insert(key, /*dirty=*/false, outcome);
+  touch(key, /*write=*/false, outcome);
   return outcome;
 }
 
 std::vector<ChunkKey> ChunkCache::flush_dirty() {
   std::vector<ChunkKey> dirty;
-  for (auto& [key, entry] : entries_) {
-    if (entry.dirty) {
-      dirty.push_back(key);
-      entry.dirty = false;
+  for (Node& node : nodes_) {
+    if (node.dirty) {
+      dirty.push_back(node.key);
+      node.dirty = false;
     }
   }
   std::sort(dirty.begin(), dirty.end(), [](const ChunkKey& a, const ChunkKey& b) {

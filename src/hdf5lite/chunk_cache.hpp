@@ -9,15 +9,17 @@
 // performance cliff this parameter creates.
 //
 // The cache tracks *which* chunk of *which rank* is resident; the caller
-// translates evictions into simulated I/O.
+// translates evictions into simulated I/O. Its state is flat: a node pool
+// of at most `max_resident_` entries, an LRU list linked by pool index,
+// and an open-addressed index, so a touch allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "common/units.hpp"
+#include "hdf5lite/flat_map.hpp"
 #include "hdf5lite/properties.hpp"
 
 namespace tunio::h5 {
@@ -30,10 +32,11 @@ struct ChunkKey {
   bool operator==(const ChunkKey&) const = default;
 };
 
+/// Mixes both fields: every rank touches the same chunk ids, so a hash
+/// that leaves the rank out of the low bits piles them onto one slot.
 struct ChunkKeyHash {
-  std::size_t operator()(const ChunkKey& k) const {
-    return std::hash<std::uint64_t>()((static_cast<std::uint64_t>(k.rank) << 40) ^
-                                      k.chunk);
+  std::uint64_t operator()(const ChunkKey& k) const {
+    return mix64(k.chunk + 0x9E3779B97F4A7C15ull * k.rank);
   }
 };
 
@@ -42,7 +45,9 @@ struct CacheOutcome {
   bool hit = false;          ///< chunk was already resident
   bool bypass = false;       ///< chunk can't fit; caller does direct I/O
   bool needs_preread = false;///< partial access to a non-resident chunk
-  std::vector<ChunkKey> evicted_dirty;  ///< dirty chunks to write back
+  /// Dirty chunk to write back. Only a miss on a full cache evicts, and
+  /// then exactly one chunk.
+  std::optional<ChunkKey> evicted_dirty;
 };
 
 struct ChunkCacheStats {
@@ -69,29 +74,40 @@ class ChunkCache {
   /// Touches `key` for a read.
   CacheOutcome touch_read(const ChunkKey& key);
 
-  /// Removes and returns all dirty chunks (flush at dataset close).
+  /// Marks every resident chunk clean and returns the ones that were
+  /// dirty, ordered by (rank, chunk) (flush at dataset close).
   std::vector<ChunkKey> flush_dirty();
 
   bool resident(const ChunkKey& key) const;
-  std::size_t resident_chunks() const { return entries_.size(); }
+  std::size_t resident_chunks() const { return nodes_.size(); }
   Bytes capacity() const { return props_.rdcc_nbytes; }
   Bytes chunk_bytes() const { return chunk_bytes_; }
   const ChunkCacheStats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    std::list<ChunkKey>::iterator lru_pos;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// A resident chunk; `prev`/`next` link the LRU list by pool index.
+  struct Node {
+    ChunkKey key;
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
     bool dirty = false;
   };
 
-  /// Inserts `key`, evicting LRU victims into `outcome`.
-  void insert(const ChunkKey& key, bool dirty, CacheOutcome& outcome);
+  /// Makes `key` the most recent chunk: a hit, or a miss that inserts it
+  /// (evicting the LRU chunk when full). A write marks it dirty.
+  void touch(const ChunkKey& key, bool write, CacheOutcome& outcome);
+  void unlink(std::uint32_t node);
+  void push_front(std::uint32_t node);
 
   ChunkCacheProps props_;
   Bytes chunk_bytes_;
   std::size_t max_resident_;  ///< min(nbytes/chunk, nslots)
-  std::list<ChunkKey> lru_;   ///< front = most recent
-  std::unordered_map<ChunkKey, Entry, ChunkKeyHash> entries_;
+  std::vector<Node> nodes_;   ///< pool; grows to max_resident_ at most
+  std::uint32_t head_ = kNil; ///< most recent
+  std::uint32_t tail_ = kNil; ///< least recent: the next victim
+  FlatMap<ChunkKey, std::uint32_t, ChunkKeyHash> index_;  ///< key -> node
   ChunkCacheStats stats_;
 };
 

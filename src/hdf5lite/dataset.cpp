@@ -14,6 +14,11 @@ constexpr Bytes kObjectHeaderBytes = 800;
 constexpr Bytes kBtreeRecordBytes = 160;
 constexpr Bytes kAttributeBytes = 256;
 
+/// Chunk-index entries reserved at creation: the declared chunk count, up
+/// to this many (192 KiB of table). Filling a typical dataset then never
+/// rehashes, and a huge sparse declaration costs no more.
+constexpr std::uint64_t kChunkIndexReserve = 4096;
+
 }  // namespace
 
 Dataset::Dataset(File& file, std::string name, Bytes elem_size,
@@ -30,6 +35,9 @@ Dataset::Dataset(File& file, std::string name, Bytes elem_size,
                                               num_elements_);
     TUNIO_CHECK_MSG(chunk_elements_ > 0, "chunk size must be positive");
     cache_ = std::make_unique<ChunkCache>(ccpl, chunk_bytes());
+    const std::uint64_t declared_chunks =
+        (num_elements_ + chunk_elements_ - 1) / chunk_elements_;
+    chunk_offsets_.reserve(std::min(declared_chunks, kChunkIndexReserve));
     // B-tree root for the chunk index.
     file_.meta().meta_update(kBtreeRecordBytes);
   } else {
@@ -46,14 +54,19 @@ const ChunkCacheStats* Dataset::cache_stats() const {
   return cache_ ? &cache_->stats() : nullptr;
 }
 
+std::optional<Bytes> Dataset::chunk_offset(std::uint64_t chunk_index) const {
+  const Bytes* offset = chunk_offsets_.find(chunk_index);
+  return offset ? std::optional<Bytes>(*offset) : std::nullopt;
+}
+
 Bytes Dataset::ensure_chunk_allocated(std::uint64_t chunk_index) {
-  auto it = chunk_offsets_.find(chunk_index);
-  if (it != chunk_offsets_.end()) return it->second;
-  const Bytes offset = file_.meta().alloc_raw(chunk_bytes());
-  chunk_offsets_.emplace(chunk_index, offset);
-  // Chunk-index insertion: B-tree record update.
-  file_.meta().meta_update(kBtreeRecordBytes);
-  return offset;
+  const auto [offset, inserted] = chunk_offsets_.try_emplace(chunk_index, 0);
+  if (inserted) {
+    *offset = file_.meta().alloc_raw(chunk_bytes());
+    // Chunk-index insertion: B-tree record update.
+    file_.meta().meta_update(kBtreeRecordBytes);
+  }
+  return *offset;
 }
 
 void Dataset::issue_writes(const std::vector<ByteExtent>& extents,
@@ -210,13 +223,11 @@ void Dataset::write_chunked(const std::vector<Selection>& selections,
       // Chunk-index traversal: one metadata lookup per chunk touch.
       file_.meta().meta_lookup(kBtreeRecordBytes);
 
-      const bool allocated = chunk_offsets_.count(chunk_index) > 0;
+      const bool allocated = chunk_offsets_.find(chunk_index) != nullptr;
       const CacheOutcome outcome = cache_->touch_write(
           {sel.rank, chunk_index}, covered, allocated);
 
-      for (const ChunkKey& victim : outcome.evicted_dirty) {
-        write_back_chunk(victim);
-      }
+      if (outcome.evicted_dirty) write_back_chunk(*outcome.evicted_dirty);
       if (outcome.bypass) {
         const Bytes chunk_off = ensure_chunk_allocated(chunk_index);
         if (outcome.needs_preread) {
@@ -252,9 +263,7 @@ void Dataset::read_chunked(const std::vector<Selection>& selections,
 
       file_.meta().meta_lookup(kBtreeRecordBytes);
       const CacheOutcome outcome = cache_->touch_read({sel.rank, chunk_index});
-      for (const ChunkKey& victim : outcome.evicted_dirty) {
-        write_back_chunk(victim);
-      }
+      if (outcome.evicted_dirty) write_back_chunk(*outcome.evicted_dirty);
       const Bytes chunk_off = ensure_chunk_allocated(chunk_index);
       if (outcome.bypass) {
         direct_reads.push_back(

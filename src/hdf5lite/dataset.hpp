@@ -19,10 +19,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "hdf5lite/chunk_cache.hpp"
+#include "hdf5lite/flat_map.hpp"
 #include "hdf5lite/metadata.hpp"
 #include "hdf5lite/properties.hpp"
 #include "mpiio/mpiio.hpp"
@@ -80,6 +82,9 @@ class Dataset {
   const DatasetStats& stats() const { return stats_; }
   const ChunkCacheStats* cache_stats() const;
 
+  /// File offset of a chunk, once it has file space.
+  std::optional<Bytes> chunk_offset(std::uint64_t chunk_index) const;
+
  private:
   struct SieveWindow {
     Bytes offset = 0;   ///< file offset of the staged region
@@ -122,7 +127,9 @@ class Dataset {
   std::uint64_t chunk_elements_ = 0;  ///< 0 = contiguous
 
   Bytes base_offset_ = 0;  ///< contiguous layout only
-  std::map<std::uint64_t, Bytes> chunk_offsets_;  ///< chunked layout
+  /// Chunked layout: file offset of each chunk touched so far (the
+  /// declared extent may be far larger than what is ever written).
+  FlatMap<std::uint64_t, Bytes> chunk_offsets_;
   std::unique_ptr<ChunkCache> cache_;
   std::map<unsigned, SieveWindow> sieves_;  ///< per-rank sieve windows
   bool last_dxpl_collective_ = false;

@@ -1,9 +1,25 @@
 #include "nn/dense_net.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 
 namespace tunio::nn {
+
+namespace {
+
+/// Zeroes an Adam moment that has decayed below the normal range. Moments
+/// behind dead ReLU units shrink geometrically forever, and arithmetic on
+/// subnormals is microcode-slow on common CPUs. A moment that small moves
+/// no weight of normal size by even one ulp, so every weight and bias
+/// stays bit-identical. Done per value rather than by setting the FPU's
+/// flush-to-zero mode, which is x86-only and would change the simulator's
+/// arithmetic too.
+void flush_subnormal(double& moment) {
+  if (std::fabs(moment) < DBL_MIN) moment = 0.0;
+}
+
+}  // namespace
 
 DenseNet::DenseNet(std::vector<std::size_t> layer_sizes, Rng& rng,
                    AdamParams adam)
@@ -87,6 +103,8 @@ void DenseNet::backward(const std::vector<double>& input,
         double& v = layer.v_w(o, i);
         m = b1 * m + (1.0 - b1) * grad;
         v = b2 * v + (1.0 - b2) * grad * grad;
+        flush_subnormal(m);
+        flush_subnormal(v);
         layer.weights(o, i) -=
             lr * (m / bc1) / (std::sqrt(v / bc2) + adam_.epsilon);
       }
@@ -94,6 +112,8 @@ void DenseNet::backward(const std::vector<double>& input,
       double& vb = layer.v_b[o];
       mb = b1 * mb + (1.0 - b1) * delta[o];
       vb = b2 * vb + (1.0 - b2) * delta[o] * delta[o];
+      flush_subnormal(mb);
+      flush_subnormal(vb);
       layer.bias[o] -= lr * (mb / bc1) / (std::sqrt(vb / bc2) + adam_.epsilon);
     }
     if (l > 0) {

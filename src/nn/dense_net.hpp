@@ -58,6 +58,19 @@ class DenseNet {
   /// Hard parameter copy.
   void copy_from(const DenseNet& other);
 
+  /// Calls `visit(value)` on every weight, bias and Adam moment, layer by
+  /// layer: the whole trained state, for fingerprints and numeric checks.
+  template <class Visit>
+  void visit_state(Visit&& visit) const {
+    for (const Layer& layer : layers_) {
+      for (const std::vector<double>* values :
+           {&layer.weights.data(), &layer.bias, &layer.m_w.data(),
+            &layer.v_w.data(), &layer.m_b, &layer.v_b}) {
+        for (double value : *values) visit(value);
+      }
+    }
+  }
+
  private:
   struct Layer {
     Matrix weights;  ///< out × in

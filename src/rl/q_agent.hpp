@@ -63,6 +63,9 @@ class QAgent {
   void set_epsilon(double epsilon) { epsilon_ = epsilon; }
   std::size_t replay_size() const { return replay_.size(); }
 
+  const nn::DenseNet& network() const { return net_; }
+  const nn::DenseNet& target_network() const { return target_; }
+
  private:
   struct Pending {
     Transition transition;

@@ -32,6 +32,8 @@ class StateObserver {
   /// Predicted normalized perf for a context (the bandit's value).
   double predict(const std::vector<double>& context) const;
 
+  const nn::DenseNet& network() const { return net_; }
+
  private:
   std::size_t embedding_dim_;
   Rng rng_;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "core/early_stopping.hpp"
@@ -189,20 +191,94 @@ TEST(EarlyStopping, TrainedAgentRidesRisesAndQuitsFlats) {
   EXPECT_LT(stopped_flat, 30u);
 }
 
+// Word-wise FNV-1a over the bit patterns of a network's weights, biases
+// and Adam moments, with subnormals hashed as zero: DenseNet flushes
+// decayed moments to zero, and any other change to a trained value
+// changes the hash.
+std::uint64_t fingerprint(const nn::DenseNet& net,
+                          std::uint64_t hash = 0xCBF29CE484222325ull) {
+  net.visit_state([&hash](double value) {
+    if (std::fpclassify(value) == FP_SUBNORMAL) value = 0.0;
+    hash = (hash ^ std::bit_cast<std::uint64_t>(value)) * 0x100000001B3ull;
+  });
+  return hash;
+}
+
+std::uint64_t fingerprint(const rl::QAgent& agent) {
+  return fingerprint(agent.target_network(), fingerprint(agent.network()));
+}
+
+std::size_t subnormal_count(const nn::DenseNet& net) {
+  std::size_t count = 0;
+  net.visit_state([&count](double value) {
+    count += std::fpclassify(value) == FP_SUBNORMAL ? 1 : 0;
+  });
+  return count;
+}
+
+// Paper-scale HACC on 16 ranks: large contiguous writes, where striping
+// dominates.
+std::unique_ptr<tuner::Objective> small_hacc_objective() {
+  tuner::TestbedOptions tb;
+  tb.num_ranks = 16;
+  tb.runs_per_eval = 1;
+  wl::RunOptions kernel;
+  kernel.compute_scale = 0.0;
+  return tuner::make_workload_objective(
+      std::shared_ptr<const wl::Workload>(wl::make_hacc()), tb, kernel);
+}
+
+// Offline training is deterministic. These hashes were taken with no
+// moment flushing, so they show that flushing leaves every weight, bias
+// and normal moment (target networks included) bit-identical.
+TEST(TrainedNetworkPins, OfflineTrainingIsBitIdentical) {
+  EarlyStopping stopper;
+  stopper.train_offline();
+  EXPECT_EQ(fingerprint(stopper.agent()), 538279955850068441ull);
+
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  SmartConfigGen generator(space);
+  auto hacc = small_hacc_objective();
+  generator.train_offline({hacc.get()});
+  EXPECT_EQ(fingerprint(generator.picker()), 18436343970802641828ull);
+  EXPECT_EQ(fingerprint(generator.observer().network()),
+            15973940978094740813ull);
+}
+
+// Adam moments behind dead ReLU units decay geometrically; left alone
+// they sink into subnormals, where arithmetic is microcode-slow.
+TEST(TrainedNetworkPins, NoSubnormalStateAfterOfflineAndOnlineTraining) {
+  EarlyStopping stopper;
+  stopper.train_offline();
+  stopper.reset_episode();
+  for (unsigned t = 0; t < 50; ++t) {
+    if (stopper.stop(t, 10000.0 * (0.1 + 0.5 * std::min(1.0, t / 12.0)))) {
+      break;
+    }
+  }
+  EXPECT_EQ(subnormal_count(stopper.agent().network()), 0u);
+  EXPECT_EQ(subnormal_count(stopper.agent().target_network()), 0u);
+
+  const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  SmartConfigGen generator(space);
+  auto hacc = small_hacc_objective();
+  generator.train_offline({hacc.get()});
+  generator.reset_episode();
+  std::vector<std::size_t> subset;
+  for (int i = 0; i < 40; ++i) {
+    subset = generator.subset_picker(1000.0 + 100.0 * i, subset);
+  }
+  EXPECT_EQ(subnormal_count(generator.picker().network()), 0u);
+  EXPECT_EQ(subnormal_count(generator.picker().target_network()), 0u);
+  EXPECT_EQ(subnormal_count(generator.observer().network()), 0u);
+}
+
 TEST(SmartConfigGen, OfflineTrainingRanksStripingFirst) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
   SmartConfigGen generator(space);
   EXPECT_FALSE(generator.offline_trained());
 
-  tuner::TestbedOptions tb;
-  tb.num_ranks = 16;
-  tb.runs_per_eval = 1;
-  // Paper-scale HACC: large contiguous writes, where striping dominates.
-  wl::RunOptions kernel;
-  kernel.compute_scale = 0.0;
-  auto hacc = tuner::make_workload_objective(
-      std::shared_ptr<const wl::Workload>(wl::make_hacc()), tb, kernel);
-
+  auto hacc = small_hacc_objective();
   const auto sweeps = generator.train_offline({hacc.get()});
   EXPECT_TRUE(generator.offline_trained());
   ASSERT_EQ(sweeps.size(), 1u);

@@ -2,6 +2,11 @@
 // dataset layouts, sieve buffering, property effects.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <random>
+
 #include "common/error.hpp"
 #include "hdf5lite/chunk_cache.hpp"
 #include "hdf5lite/file.hpp"
@@ -33,8 +38,8 @@ TEST(ChunkCache, LruEvictionOrder) {
   // Touch chunk 0 again so chunk 1 is LRU.
   cache.touch_write({0, 0}, 1 * MiB, true);
   auto outcome = cache.touch_write({0, 2}, 1 * MiB, false);
-  ASSERT_EQ(outcome.evicted_dirty.size(), 1u);
-  EXPECT_EQ(outcome.evicted_dirty[0].chunk, 1u);  // LRU victim
+  ASSERT_TRUE(outcome.evicted_dirty.has_value());
+  EXPECT_EQ(outcome.evicted_dirty->chunk, 1u);  // LRU victim
   EXPECT_TRUE(cache.resident({0, 0}));
   EXPECT_FALSE(cache.resident({0, 1}));
 }
@@ -92,6 +97,183 @@ TEST(ChunkCache, PerRankKeysAreDistinct) {
   cache.touch_write({0, 7}, 1 * MiB, false);
   auto other_rank = cache.touch_write({1, 7}, 1 * MiB, false);
   EXPECT_FALSE(other_rank.hit);  // same chunk index, different rank
+}
+
+// --- FlatMap ---------------------------------------------------------------
+
+// Random inserts, lookups and erases against std::map, growing from empty.
+// Keys differ only above bit 40, so every one lands in the same low bits
+// before mixing.
+TEST(FlatMap, MatchesStdMapThroughGrowthAndErase) {
+  FlatMap<std::uint64_t, std::uint64_t> flat;
+  std::map<std::uint64_t, std::uint64_t> model;
+  std::mt19937_64 rng(0xF1A7);
+  for (int step = 0; step < 50000; ++step) {
+    const std::uint64_t key = (rng() % 3000) << 40;
+    const std::uint64_t* found = flat.find(key);
+    const auto it = model.find(key);
+    ASSERT_EQ(found != nullptr, it != model.end()) << "step " << step;
+    if (found != nullptr) {
+      ASSERT_EQ(*found, it->second);
+    }
+    if (rng() % 3 == 0 && found != nullptr) {
+      flat.erase(key);
+      model.erase(it);
+    } else {
+      const auto [value, inserted] = flat.try_emplace(key, step);
+      ASSERT_EQ(inserted, found == nullptr);
+      if (inserted) model.emplace(key, step);
+      ASSERT_EQ(*value, model.at(key));
+    }
+  }
+  for (const auto& [key, value] : model) {
+    ASSERT_NE(flat.find(key), nullptr);
+    EXPECT_EQ(*flat.find(key), value);
+  }
+  EXPECT_THROW(flat.erase(std::uint64_t{1}), Error);
+}
+
+// The list-and-map LRU that ChunkCache's flat pool replaced: the oracle of
+// the differential test below.
+class ReferenceLru {
+ public:
+  struct Outcome {
+    bool hit = false;
+    bool bypass = false;
+    bool needs_preread = false;
+    std::vector<ChunkKey> evicted_dirty;
+  };
+
+  ReferenceLru(ChunkCacheProps props, Bytes chunk_bytes)
+      : chunk_bytes_(chunk_bytes),
+        max_resident_(std::min<std::size_t>(props.rdcc_nbytes / chunk_bytes,
+                                            props.rdcc_nslots)) {}
+
+  Outcome touch(const ChunkKey& key, bool write, Bytes covered,
+                bool allocated) {
+    Outcome out;
+    const bool partial = write && allocated && covered < chunk_bytes_;
+    if (max_resident_ == 0) {
+      ++stats.bypasses;
+      out.bypass = true;
+      out.needs_preread = partial;
+      return out;
+    }
+    if (auto it = entries_.find(key); it != entries_.end()) {
+      ++stats.hits;
+      out.hit = true;
+      it->second.dirty |= write;
+      lru_.splice(lru_.begin(), lru_, it->second.pos);
+      return out;
+    }
+    ++stats.misses;
+    out.needs_preread = partial;
+    while (entries_.size() >= max_resident_) {
+      const ChunkKey victim = lru_.back();
+      lru_.pop_back();
+      ++stats.evictions;
+      if (entries_.at(victim).dirty) {
+        ++stats.dirty_evictions;
+        out.evicted_dirty.push_back(victim);
+      }
+      entries_.erase(victim);
+    }
+    lru_.push_front(key);
+    entries_[key] = Entry{lru_.begin(), write};
+    return out;
+  }
+
+  /// Dirty chunks in (rank, chunk) order: the map's own order.
+  std::vector<ChunkKey> flush_dirty() {
+    std::vector<ChunkKey> dirty;
+    for (auto& [key, entry] : entries_) {
+      if (entry.dirty) dirty.push_back(key);
+      entry.dirty = false;
+    }
+    return dirty;
+  }
+
+  std::vector<ChunkKey> keys() const {
+    return std::vector<ChunkKey>(lru_.begin(), lru_.end());
+  }
+  std::size_t size() const { return entries_.size(); }
+
+  ChunkCacheStats stats;
+
+ private:
+  struct Entry {
+    std::list<ChunkKey>::iterator pos;
+    bool dirty = false;
+  };
+  struct KeyLess {
+    bool operator()(const ChunkKey& a, const ChunkKey& b) const {
+      return a.rank != b.rank ? a.rank < b.rank : a.chunk < b.chunk;
+    }
+  };
+
+  Bytes chunk_bytes_;
+  std::size_t max_resident_;
+  std::list<ChunkKey> lru_;  ///< front = most recent
+  std::map<ChunkKey, Entry, KeyLess> entries_;
+};
+
+void expect_same_stats(const ChunkCacheStats& a, const ChunkCacheStats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.bypasses, b.bypasses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.dirty_evictions, b.dirty_evictions);
+}
+
+// Seeded random traces of reads, writes and flushes from 128 ranks that
+// share chunk ids (the pattern a hash without the rank in its low bits
+// piles onto one slot), at the residency limits 0, 1, 2 and 521.
+TEST(ChunkCache, MatchesReferenceLruOnRandomTraces) {
+  constexpr Bytes kChunk = 4 * KiB;
+  for (const std::size_t limit : {0u, 1u, 2u, 521u}) {
+    SCOPED_TRACE("max resident " + std::to_string(limit));
+    ChunkCacheProps props;
+    props.rdcc_nbytes = (limit == 521 ? 1024 : limit) * kChunk;
+    props.rdcc_nslots = 521;
+    ChunkCache cache(props, kChunk);
+    ReferenceLru model(props, kChunk);
+    std::mt19937_64 rng(0xC4C4E + limit);
+    ChunkKey key;
+    for (int step = 0; step < 20000; ++step) {
+      if (rng() % 500 == 0) {
+        ASSERT_EQ(cache.flush_dirty(), model.flush_dirty());
+        continue;
+      }
+      if (rng() % 4 != 0) {  // else re-touch the previous key
+        key.rank = static_cast<unsigned>(rng() % 128);
+        key.chunk = rng() % 8 + (rng() % 2 == 0 ? 0 : std::uint64_t{1} << 40);
+      }
+      const bool write = rng() % 3 != 0;
+      const Bytes covered = rng() % 2 == 0 ? kChunk : kChunk / 2;
+      const bool allocated = rng() % 2 == 0;
+      const CacheOutcome got = write
+                                   ? cache.touch_write(key, covered, allocated)
+                                   : cache.touch_read(key);
+      const ReferenceLru::Outcome want =
+          model.touch(key, write, covered, allocated);
+      ASSERT_EQ(got.hit, want.hit) << "step " << step;
+      ASSERT_EQ(got.bypass, want.bypass) << "step " << step;
+      ASSERT_EQ(got.needs_preread, want.needs_preread) << "step " << step;
+      ASSERT_LE(want.evicted_dirty.size(), 1u);
+      ASSERT_EQ(got.evicted_dirty.has_value(), !want.evicted_dirty.empty());
+      if (got.evicted_dirty) {
+        ASSERT_EQ(*got.evicted_dirty, want.evicted_dirty.front());
+        ASSERT_FALSE(cache.resident(*got.evicted_dirty));
+      }
+      expect_same_stats(cache.stats(), model.stats);
+      ASSERT_EQ(cache.resident_chunks(), model.size());
+      ASSERT_EQ(cache.resident(key), limit > 0);
+      if (step % 97 == 0) {
+        for (const ChunkKey& k : model.keys()) ASSERT_TRUE(cache.resident(k));
+      }
+    }
+    EXPECT_EQ(cache.flush_dirty(), model.flush_dirty());
+  }
 }
 
 // --- MetadataManager ------------------------------------------------------
@@ -245,6 +427,26 @@ TEST(H5Dataset, ChunkedWritesThroughCache) {
   ds.flush();
   const Bytes after = s.fs.counters().bytes_written - raw_before;
   EXPECT_GE(after, (1u << 20) * 4u);
+}
+
+// A chunked dataset may declare far more chunks than it ever touches
+// (2^50 one-element chunks here). The chunk index holds touched chunks
+// only: an index sized by the declared extent would throw or exhaust
+// memory, and the two chunks keep the offsets first-touch order gives.
+TEST(H5Dataset, HugeSparseChunkedDatasetIndexesTouchedChunksOnly) {
+  Stack s;
+  File file(s.mpi, s.fs, "/f.h5", FileAccessProps{}, mpiio::Hints{});
+  DatasetCreateProps dcpl;
+  dcpl.chunk_elements = 1;
+  const std::uint64_t far = std::uint64_t{1} << 49;
+  Dataset& ds = file.create_dataset("sparse", 4, std::uint64_t{1} << 50, dcpl,
+                                    ChunkCacheProps{});
+  ds.write({{0, 0, 1}, {1, far, 1}}, TransferProps{});
+  ds.flush();
+  EXPECT_EQ(ds.chunk_offset(0), std::optional<Bytes>(6144));
+  EXPECT_EQ(ds.chunk_offset(far), std::optional<Bytes>(6148));
+  EXPECT_EQ(ds.chunk_offset(1), std::nullopt);
+  file.close();
 }
 
 TEST(H5Dataset, TinyCacheCausesEvictionTraffic) {

@@ -204,6 +204,33 @@ TEST(Interp, IoBuiltinsDriveTheStack) {
   EXPECT_GT(result.perf.perf_mbps, 0.0);
 }
 
+// h5set_chunking(1) on a 2^50-element dataset is legal mini-C: only the
+// two touched chunks take index space, at the offsets first-touch order
+// gives them (pinned through the file's end).
+TEST(Interp, HugeSparseChunkedDataset) {
+  mpisim::MpiSim mpi(1);
+  pfs::PfsSimulator fs;
+  const InterpResult result = execute(minic::parse(R"(
+    int main()
+    {
+      int f = h5fcreate("/scratch/sparse.h5");
+      h5set_chunking(1);
+      int ds = h5dcreate(f, "x", 4, 1125899906842624);
+      h5dwrite_strided(ds, 0, 1);
+      h5dwrite_strided(ds, 562949953421312, 1);
+      h5dclose(ds);
+      h5fclose(f);
+      return 0;
+    })"),
+                                      mpi, fs, cfg::default_settings(), {});
+  EXPECT_EQ(result.exit_code, 0);
+  const auto handle =
+      fs.find_file(InterpOptions{}.path_prefix + "_/scratch/sparse.h5");
+  ASSERT_TRUE(handle.has_value());
+  EXPECT_EQ(fs.file_size(*handle), 6152u);  // chunk 2^49 ends the file
+  EXPECT_EQ(result.perf.counters.bytes_written, 1736u);
+}
+
 TEST(Interp, MpiBuiltins) {
   EXPECT_EQ(run("int main() { return mpi_size(); }", 16).exit_code, 16);
   const InterpResult result = run(R"(
