@@ -90,11 +90,14 @@ class Interpreter {
     for (const auto& [site, factor] : reduction_factors_) {
       result.extrapolation *= factor;
     }
-    const wl::RunResult run = exec_.meter_end(result.extrapolation);
+    const wl::RunResult run = exec_.meter_end();
     result.perf = run.perf;
     result.sim_seconds = run.sim_seconds;
-    result.predicted_bytes_written = run.predicted_bytes_written;
-    result.predicted_write_ops = run.predicted_write_ops;
+    result.predicted_bytes_written =
+        static_cast<double>(run.perf.counters.bytes_written) *
+        result.extrapolation;
+    result.predicted_write_ops =
+        static_cast<double>(run.perf.counters.write_ops) * result.extrapolation;
     return result;
   }
 
@@ -328,7 +331,7 @@ class Interpreter {
   /// Translates a program path into a simulator path; the bool is true
   /// when the path lands on the memory tier.
   std::pair<std::string, bool> resolve_path(const std::string& raw) {
-    return {options_.path_prefix + "_" + raw,
+    return {wl::run_path(raw),
             raw.rfind(discovery::kMemoryPathPrefix, 0) == 0};
   }
 

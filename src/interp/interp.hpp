@@ -22,11 +22,14 @@
 //            disqualifies it from the record/replay fast path)
 //   misc     min(a,b) max(a,b) reduced_iters(n, divisor)
 //
-// Paths beginning with discovery::kMemoryPathPrefix ("/shm") land on the
+// A program's path `p` names the simulator file `wl::run_path(p)`. Paths
+// beginning with discovery::kMemoryPathPrefix ("/shm") land on the
 // memory tier — that is how I/O Path Switching takes effect at run time.
+// Loop Reduction takes effect through `reduced_iters`, whose factors the
+// result multiplies back into its predicted counters.
 #pragma once
 
-#include <string>
+#include <cstdint>
 
 #include "config/stack_settings.hpp"
 #include "minic/ast.hpp"
@@ -37,8 +40,6 @@
 namespace tunio::interp {
 
 struct InterpOptions {
-  /// Prefix applied to every file path (keeps concurrent runs apart).
-  std::string path_prefix = "/scratch/run";
   /// Safety valve for runaway loops.
   std::uint64_t max_loop_iterations = 1u << 22;
 };

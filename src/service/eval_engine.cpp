@@ -64,8 +64,6 @@ void EvalEngine::worker_loop() {
       queue_.pop();
     }
     task();
-    tasks_completed_.fetch_add(1, std::memory_order_relaxed);
-    engine_tasks_counter().add(1);
   }
 }
 
@@ -81,6 +79,18 @@ std::vector<tuner::Evaluation> EvalEngine::evaluate_batch(
     return results;
   }
 
+  // Replay bootstrap: an eligible objective's first two evaluations
+  // record and verify its trace. Running them here, in batch order, fixes
+  // which configurations do so and keeps workers from waiting on them.
+  std::vector<tuner::Evaluation> results(configs.size());
+  std::size_t first_posted = 0;
+  if (objective.replay_gate().eligible) {
+    while (first_posted < configs.size() && objective.evaluations() < 2) {
+      results[first_posted] = objective.evaluate(configs[first_posted]);
+      ++first_posted;
+    }
+  }
+
   struct BatchState {
     std::mutex mutex;
     std::condition_variable done;
@@ -88,17 +98,19 @@ std::vector<tuner::Evaluation> EvalEngine::evaluate_batch(
     std::exception_ptr error;
   };
   auto state = std::make_shared<BatchState>();
-  state->remaining = configs.size();
+  state->remaining = configs.size() - first_posted;
 
-  std::vector<tuner::Evaluation> results(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    post([&objective, &configs, &results, state, i] {
+  for (std::size_t i = first_posted; i < configs.size(); ++i) {
+    post([this, &objective, &configs, &results, state, i] {
       std::exception_ptr error;
       try {
         results[i] = objective.evaluate(configs[i]);
       } catch (...) {
         error = std::current_exception();
       }
+      // Counted before the batch can complete, so the caller sees it.
+      tasks_completed_.fetch_add(1, std::memory_order_relaxed);
+      engine_tasks_counter().add(1);
       std::lock_guard<std::mutex> lock(state->mutex);
       if (error && !state->error) state->error = error;
       if (--state->remaining == 0) state->done.notify_all();

@@ -14,6 +14,12 @@
 //
 // One engine is shared by all tuning jobs of a service: batches from
 // concurrent jobs interleave over the same workers.
+//
+// An eligible objective's first two evaluations record and verify its
+// replay trace (see tuner/objective.hpp). The engine runs them on the
+// batch's calling thread, in batch order, before it fans out: which
+// configurations run the stack then depends on the batch alone, and no
+// worker waits on a record or verify.
 #pragma once
 
 #include <atomic>
@@ -46,9 +52,11 @@ class EvalEngine {
 
   /// Evaluates `configs` over the pool; `results[i]` corresponds to
   /// `configs[i]`. Bit-identical to the serial path (see file comment).
-  /// Objectives that are not `concurrent_safe` fall back to their own
-  /// (serial) `evaluate_batch`. Safe to call from several threads at
-  /// once; the calling thread blocks until its batch completes.
+  /// The replay bootstrap runs on the calling thread (see file comment);
+  /// only the rest count as tasks. Objectives that are not
+  /// `concurrent_safe` fall back to their own (serial) `evaluate_batch`.
+  /// Safe to call from several threads at once; the calling thread
+  /// blocks until its batch completes.
   std::vector<tuner::Evaluation> evaluate_batch(
       tuner::Objective& objective,
       const std::vector<cfg::Configuration>& configs);

@@ -40,7 +40,10 @@ namespace {
 class ObjectiveBase : public Objective {
  public:
   ObjectiveBase(TestbedOptions testbed, ReplayGate gate)
-      : testbed_(testbed), gate_(std::move(gate)) {}
+      : testbed_(testbed),
+        gate_(testbed.replay == ReplayMode::kOff
+                  ? ReplayGate{false, "replay switched off"}
+                  : std::move(gate)) {}
 
   ReplayGate replay_gate() const override { return gate_; }
 
@@ -104,8 +107,10 @@ class ObjectiveBase : public Objective {
   // run, so every other evaluation waits for it. A waiter therefore only
   // ever waits on a run already in progress on another thread, so a
   // shared engine cannot deadlock, and an eligible objective interprets
-  // exactly two evaluations however many threads call it. Replay is only
-  // used after it was proven to produce the same bits as interpretation.
+  // exactly two evaluations however many threads call it. The evaluation
+  // engine runs those two on the batch's caller, so its workers only wait
+  // here when several callers share one objective. Replay is only used
+  // after it was proven to produce the same bits as interpretation.
 
   enum class FastState { kIdle, kRecorded, kVerified, kDisabled };
 
@@ -169,7 +174,7 @@ class ObjectiveBase : public Objective {
   }
 
   RunOutcome run_via_fast_path(const cfg::StackSettings& settings) {
-    if (!gate_.eligible || testbed_.replay != ReplayMode::kAuto) {
+    if (!gate_.eligible) {
       count("tuner.eval.interpreted");
       return run_interpreted(settings);
     }

@@ -21,7 +21,10 @@
 // interpreter or workload driver entirely. The record and the verify
 // each run under the objective's lock, so evaluations that arrive
 // meanwhile wait for them and an eligible objective interprets exactly
-// two evaluations at any worker count. See src/replay.
+// two evaluations at any worker count. `service::EvalEngine` runs those
+// two on the batch's calling thread before it fans out, so under the
+// engine no worker waits and the first two configurations of the first
+// batch are the ones that record and verify. See src/replay.
 #pragma once
 
 #include <functional>
@@ -78,6 +81,7 @@ enum class ReplayMode {
   /// stream settings-invariant never leave the interpreted path.
   kAuto,
   /// Never record or replay; always run the interpreter / native driver.
+  /// The objective's replay gate reports it ineligible.
   kOff,
 };
 

@@ -6,7 +6,7 @@
 // small result write at the end — the α ≈ 0 counterpart of the other
 // workloads, and the application used for the paper's end-to-end
 // pipeline evaluation (Figures 11 and 12).
-#include "workloads/detail.hpp"
+#include "workloads/ops.hpp"
 #include "workloads/workload.hpp"
 
 namespace tunio::wl {
@@ -18,14 +18,10 @@ class BdcatsWorkload final : public Workload {
   explicit BdcatsWorkload(BdcatsParams params) : params_(params) {}
 
   std::string name() const override { return "BD-CATS"; }
-  double design_alpha() const override { return 0.05; }
 
   RunResult run(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
                 const cfg::StackSettings& settings,
                 const RunOptions& options) const override {
-    const unsigned rounds = detail::reduce_iterations(
-        params_.clustering_rounds, options.loop_scale);
-
     const Bytes elem = 4;
     const std::uint64_t total = params_.particles_per_rank * mpi.size();
     std::vector<h5::Selection> slabs;
@@ -39,8 +35,7 @@ class BdcatsWorkload final : public Workload {
     // materialize it, then rewind the clocks so its production is not
     // billed to this run.
     OpExecutor exec(mpi, fs, settings);
-    const std::uint32_t input = exec.create_file(
-        options.path_prefix + "_bdcats_in.h5", options.memory_tier);
+    const std::uint32_t input = exec.create_file(run_path("bdcats_in.h5"));
     std::vector<std::uint32_t> coords;
     coords.reserve(params_.variables);
     for (unsigned v = 0; v < params_.variables; ++v) {
@@ -56,7 +51,7 @@ class BdcatsWorkload final : public Workload {
 
     // Every clustering round streams the coordinate variables back in
     // (neighborhood queries re-scan the point set), then computes.
-    for (unsigned round = 0; round < rounds; ++round) {
+    for (unsigned round = 0; round < params_.clustering_rounds; ++round) {
       exec.phase(trace::Phase::kRead);
       for (const std::uint32_t ds : coords) {
         exec.read(ds, slabs, /*collective=*/true);
@@ -71,8 +66,7 @@ class BdcatsWorkload final : public Workload {
     // Result write: cluster ids, small per rank.
     exec.phase(trace::Phase::kWrite);
     const std::uint64_t result_elems = params_.result_bytes_per_rank / elem;
-    const std::uint32_t out = exec.create_file(
-        options.path_prefix + "_bdcats_out.h5", options.memory_tier);
+    const std::uint32_t out = exec.create_file(run_path("bdcats_out.h5"));
     const std::uint32_t ids =
         exec.create_dataset(out, "cluster_ids", elem,
                             result_elems * mpi.size(), /*chunk_elements=*/0);
@@ -84,8 +78,7 @@ class BdcatsWorkload final : public Workload {
     exec.write(ids, selections, /*collective=*/true);
     exec.close_file(out);
 
-    return exec.meter_end(
-        detail::extrapolation_factor(params_.clustering_rounds, rounds));
+    return exec.meter_end();
   }
 
  private:

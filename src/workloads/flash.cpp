@@ -9,7 +9,7 @@
 // chunk-heavy member of the workload suite.
 #include <sstream>
 
-#include "workloads/detail.hpp"
+#include "workloads/ops.hpp"
 #include "workloads/workload.hpp"
 
 namespace tunio::wl {
@@ -21,13 +21,11 @@ class FlashWorkload final : public Workload {
   explicit FlashWorkload(FlashParams params) : params_(params) {}
 
   std::string name() const override { return "FLASH-IO"; }
-  double design_alpha() const override { return 1.0; }
 
   RunResult run(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
                 const cfg::StackSettings& settings,
                 const RunOptions& options) const override {
-    const unsigned blocks =
-        detail::reduce_iterations(params_.blocks_per_rank, options.loop_scale);
+    const unsigned blocks = params_.blocks_per_rank;
 
     OpExecutor exec(mpi, fs, settings);
     exec.meter_begin();
@@ -45,8 +43,7 @@ class FlashWorkload final : public Workload {
     // Checkpoint file: every "unknown" variable is one chunked dataset
     // whose chunk is exactly one block.
     {
-      const std::uint32_t file = exec.create_file(
-          options.path_prefix + "_flash_chk.h5", options.memory_tier);
+      const std::uint32_t file = exec.create_file(run_path("flash_chk.h5"));
       for (unsigned d = 0; d < params_.checkpoint_datasets; ++d) {
         std::ostringstream name;
         name << "unk" << d;
@@ -70,8 +67,7 @@ class FlashWorkload final : public Workload {
 
     // Plotfile: fewer, smaller (single-precision, quarter-size) datasets.
     {
-      const std::uint32_t file = exec.create_file(
-          options.path_prefix + "_flash_plt.h5", options.memory_tier);
+      const std::uint32_t file = exec.create_file(run_path("flash_plt.h5"));
       const std::uint64_t plot_block = block_elems / 4;
       for (unsigned d = 0; d < params_.plotfile_datasets; ++d) {
         std::ostringstream name;
@@ -92,8 +88,7 @@ class FlashWorkload final : public Workload {
       exec.close_file(file);
     }
 
-    return exec.meter_end(
-        detail::extrapolation_factor(params_.blocks_per_rank, blocks));
+    return exec.meter_end();
   }
 
  private:

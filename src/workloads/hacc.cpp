@@ -4,7 +4,7 @@
 // contiguous per-rank extent into a single shared file — the classic
 // "large sequential shared-file" pattern where Lustre striping and
 // aggregator placement dominate.
-#include "workloads/detail.hpp"
+#include "workloads/ops.hpp"
 #include "workloads/workload.hpp"
 
 namespace tunio::wl {
@@ -16,14 +16,10 @@ class HaccWorkload final : public Workload {
   explicit HaccWorkload(HaccParams params) : params_(params) {}
 
   std::string name() const override { return "HACC-IO"; }
-  double design_alpha() const override { return 1.0; }
 
   RunResult run(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
                 const cfg::StackSettings& settings,
                 const RunOptions& options) const override {
-    const unsigned vars =
-        detail::reduce_iterations(params_.variables, options.loop_scale);
-
     OpExecutor exec(mpi, fs, settings);
     exec.meter_begin();
 
@@ -33,9 +29,8 @@ class HaccWorkload final : public Workload {
 
     exec.phase(trace::Phase::kWrite);
     const std::uint64_t total = params_.particles_per_rank * mpi.size();
-    const std::uint32_t file =
-        exec.create_file(options.path_prefix + "_hacc.h5", options.memory_tier);
-    for (unsigned v = 0; v < vars; ++v) {
+    const std::uint32_t file = exec.create_file(run_path("hacc.h5"));
+    for (unsigned v = 0; v < params_.variables; ++v) {
       // xx, yy, zz, vx, vy, vz, phi are 4-byte; pid 8-byte; mask 2-byte.
       const Bytes elem = (v == 7) ? 8 : (v == 8) ? 2 : 4;
       const std::uint32_t ds = exec.create_dataset(
@@ -50,8 +45,7 @@ class HaccWorkload final : public Workload {
     }
     exec.close_file(file);
 
-    return exec.meter_end(
-        detail::extrapolation_factor(params_.variables, vars));
+    return exec.meter_end();
   }
 
  private:

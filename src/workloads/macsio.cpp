@@ -6,9 +6,7 @@
 // MACSio also writes per-dump log/status lines — small incidental writes
 // that are exactly the "trivial writes" the Application I/O Discovery
 // component strips when it reduces the program to its I/O kernel.
-#include <sstream>
-
-#include "workloads/detail.hpp"
+#include "workloads/ops.hpp"
 #include "workloads/workload.hpp"
 
 namespace tunio::wl {
@@ -20,14 +18,10 @@ class MacsioWorkload final : public Workload {
   explicit MacsioWorkload(MacsioParams params) : params_(params) {}
 
   std::string name() const override { return "MACSio"; }
-  double design_alpha() const override { return 1.0; }
 
   RunResult run(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
                 const cfg::StackSettings& settings,
                 const RunOptions& options) const override {
-    const unsigned dumps =
-        detail::reduce_iterations(params_.num_dumps, options.loop_scale);
-
     OpExecutor exec(mpi, fs, settings);
     exec.meter_begin();
 
@@ -37,18 +31,16 @@ class MacsioWorkload final : public Workload {
     const std::uint64_t part_elems = params_.part_bytes / elem;
     const std::uint64_t dump_elems =
         part_elems * parts_per_rank * mpi.size();
-    const std::string log_path = options.path_prefix + "_macsio.log";
+    const std::string log_path = run_path("macsio.log");
 
-    for (unsigned dump = 0; dump < dumps; ++dump) {
+    for (unsigned dump = 0; dump < params_.num_dumps; ++dump) {
       exec.phase(trace::Phase::kOther);
       exec.compute(params_.compute_seconds_per_dump * options.compute_scale,
                    /*salt=*/dump);
 
       exec.phase(trace::Phase::kWrite);
-      std::ostringstream path;
-      path << options.path_prefix << "_macsio_" << dump << ".h5";
-      const std::uint32_t file =
-          exec.create_file(path.str(), options.memory_tier);
+      const std::uint32_t file = exec.create_file(
+          run_path("macsio_" + std::to_string(dump) + ".h5"));
       const std::uint32_t ds =
           exec.create_dataset(file, "mesh", elem, dump_elems, part_elems);
       // Each rank writes its parts; parts of a rank are contiguous.
@@ -73,8 +65,7 @@ class MacsioWorkload final : public Workload {
       }
     }
 
-    return exec.meter_end(
-        detail::extrapolation_factor(params_.num_dumps, dumps));
+    return exec.meter_end();
   }
 
  private:

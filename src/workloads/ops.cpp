@@ -213,16 +213,9 @@ void OpExecutor::phase(trace::Phase phase) {
   meter_.phase_begin(phase);
 }
 
-RunResult OpExecutor::meter_end(double extrapolation) {
+RunResult OpExecutor::meter_end() {
   record(OpKind::kMeterEnd);
-  RunResult result;
-  result.perf = meter_.end();
-  result.sim_seconds = mpi_.max_clock() - start_;
-  result.predicted_bytes_written =
-      static_cast<double>(result.perf.counters.bytes_written) * extrapolation;
-  result.predicted_write_ops =
-      static_cast<double>(result.perf.counters.write_ops) * extrapolation;
-  return result;
+  return {meter_.end(), mpi_.max_clock() - start_};
 }
 
 }  // namespace tunio::wl

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.hpp"
@@ -36,6 +37,13 @@
 #include "workloads/workload.hpp"
 
 namespace tunio::wl {
+
+/// The simulator path of the file a program run calls `name`: the one
+/// prefix of the native drivers and the interpreter, "_", then `name`.
+inline constexpr std::string_view kPathPrefix = "/scratch/run";
+inline std::string run_path(std::string_view name) {
+  return std::string(kPathPrefix).append("_").append(name);
+}
 
 class OpExecutor {
  public:
@@ -49,7 +57,8 @@ class OpExecutor {
 
   /// Creates (truncates) an HDF5 file at `path`, in the memory tier when
   /// `memory_tier` is set. Returns its handle.
-  std::uint32_t create_file(const std::string& path, bool memory_tier);
+  std::uint32_t create_file(const std::string& path,
+                            bool memory_tier = false);
   /// Flushes every dataset of the file and its staged metadata.
   void flush_file(std::uint32_t file);
   /// Flush + close; a no-op (and not recorded) on a closed file.
@@ -97,10 +106,8 @@ class OpExecutor {
 
   void meter_begin();
   void phase(trace::Phase phase);
-  /// Ends the metered run. The write counters are multiplied by
-  /// `extrapolation` to predict the unreduced loop ("the scalable metrics
-  /// ... multiplied by the loop reductions", §III-B).
-  RunResult meter_end(double extrapolation = 1.0);
+  /// Ends the metered run.
+  RunResult meter_end();
 
  private:
   /// One dataset handle: the dataset and its id in creation order.

@@ -4,9 +4,7 @@
 // (x, y, z, ux, uy, uz, energy as 4-byte floats; id as 8-byte ints) of a
 // shared HDF5 file using collective writes — the canonical write-heavy
 // HPC I/O benchmark (α = 1).
-#include <sstream>
-
-#include "workloads/detail.hpp"
+#include "workloads/ops.hpp"
 #include "workloads/workload.hpp"
 
 namespace tunio::wl {
@@ -18,14 +16,10 @@ class VpicWorkload final : public Workload {
   explicit VpicWorkload(VpicParams params) : params_(params) {}
 
   std::string name() const override { return "VPIC-IO"; }
-  double design_alpha() const override { return 1.0; }
 
   RunResult run(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
                 const cfg::StackSettings& settings,
                 const RunOptions& options) const override {
-    const unsigned steps =
-        detail::reduce_iterations(params_.timesteps, options.loop_scale);
-
     OpExecutor exec(mpi, fs, settings);
     exec.meter_begin();
 
@@ -34,16 +28,14 @@ class VpicWorkload final : public Workload {
     const std::uint64_t total =
         params_.particles_per_rank * mpi.size();
 
-    for (unsigned step = 0; step < steps; ++step) {
+    for (unsigned step = 0; step < params_.timesteps; ++step) {
       exec.phase(trace::Phase::kOther);
       exec.compute(params_.compute_seconds_per_step * options.compute_scale,
                    /*salt=*/step);
 
       exec.phase(trace::Phase::kWrite);
-      std::ostringstream path;
-      path << options.path_prefix << "_vpic_t" << step << ".h5";
       const std::uint32_t file =
-          exec.create_file(path.str(), options.memory_tier);
+          exec.create_file(run_path("vpic_t" + std::to_string(step) + ".h5"));
       for (unsigned v = 0; v < 8; ++v) {
         const Bytes elem = (v == 7) ? 8 : 4;  // id is 64-bit
         const std::uint32_t ds = exec.create_dataset(
@@ -59,8 +51,7 @@ class VpicWorkload final : public Workload {
       exec.close_file(file);
     }
 
-    return exec.meter_end(
-        detail::extrapolation_factor(params_.timesteps, steps));
+    return exec.meter_end();
   }
 
  private:

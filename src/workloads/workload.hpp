@@ -20,14 +20,12 @@
 // A workload runs as an SPMD program over the simulated stack and
 // reports the paper's `perf` objective plus full counters.
 //
-// `RunOptions` expresses what TunIO's Application I/O Discovery does to
-// a program: dropping non-I/O compute (`compute_scale = 0`), reducing
-// I/O loops (`loop_scale < 1`, Loop Reduction), dropping incidental
-// logging writes, and redirecting paths to the memory tier (I/O Path
-// Switching). The discovery module derives these from real source
-// analysis of the mini-C versions of the same programs (see
-// `workloads/sources.hpp`); the native drivers honor them so that tuning
-// pipelines can run either the full application or its I/O kernel.
+// `RunOptions` strips from a driver what TunIO's Application I/O
+// Discovery strips from a program: non-I/O compute (`compute_scale = 0`)
+// and incidental logging writes. A driver runs in two forms, the full
+// application and that I/O kernel. Loop Reduction and I/O Path Switching
+// exist only in discovery, which applies them to the mini-C versions of
+// the same programs (see `workloads/sources.hpp`).
 #pragma once
 
 #include <cstdint>
@@ -41,23 +39,15 @@
 
 namespace tunio::wl {
 
-/// Source-transformation knobs applied to a run (see file comment).
+/// What is stripped from a run (see file comment).
 struct RunOptions {
   double compute_scale = 1.0;   ///< 0 = compute stripped (I/O kernel)
-  double loop_scale = 1.0;      ///< Loop Reduction factor (e.g. 0.01)
   bool include_log_writes = true;  ///< incidental logging / print I/O
-  bool memory_tier = false;     ///< I/O Path Switching to /dev/shm
-  std::string path_prefix = "/scratch/run";  ///< file name prefix
 };
 
-/// Result of one run, including loop-reduction scaling bookkeeping.
+/// Result of one run.
 struct RunResult {
   trace::PerfResult perf;
-  /// Counters extrapolated back to the full loop counts ("the scalable
-  /// metrics for that I/O are then multiplied by the loop reductions to
-  /// achieve a prediction for the original loop", §III-B).
-  double predicted_bytes_written = 0.0;
-  double predicted_write_ops = 0.0;
   SimSeconds sim_seconds = 0.0;  ///< wall time of the run (simulated)
 };
 
@@ -66,10 +56,6 @@ class Workload {
   virtual ~Workload() = default;
 
   virtual std::string name() const = 0;
-
-  /// Fraction of data written over total transferred (the paper's α),
-  /// as designed; the measured value comes out of the meter.
-  virtual double design_alpha() const = 0;
 
   /// Executes the workload on a prepared stack. The caller owns reset
   /// semantics (fresh MpiSim/PfsSimulator per evaluation run).

@@ -6,6 +6,7 @@
 #include "config/stack_settings.hpp"
 #include "interp/interp.hpp"
 #include "minic/parser.hpp"
+#include "workloads/ops.hpp"
 
 namespace tunio::interp {
 namespace {
@@ -224,8 +225,7 @@ TEST(Interp, HugeSparseChunkedDataset) {
     })"),
                                       mpi, fs, cfg::default_settings(), {});
   EXPECT_EQ(result.exit_code, 0);
-  const auto handle =
-      fs.find_file(InterpOptions{}.path_prefix + "_/scratch/sparse.h5");
+  const auto handle = fs.find_file(wl::run_path("/scratch/sparse.h5"));
   ASSERT_TRUE(handle.has_value());
   EXPECT_EQ(fs.file_size(*handle), 6152u);  // chunk 2^49 ends the file
   EXPECT_EQ(result.perf.counters.bytes_written, 1736u);

@@ -396,15 +396,13 @@ TEST(ReplayDifferential, NativeDrivers) {
 }
 
 TEST(ReplayDifferential, NativeDriversUnderRunOptions) {
-  wl::RunOptions memory_tier;
-  memory_tier.memory_tier = true;
-  wl::RunOptions loop_reduced;
-  loop_reduced.loop_scale = 0.01;
+  wl::RunOptions kernel;
+  kernel.compute_scale = 0.0;
+  kernel.include_log_writes = false;
   wl::RunOptions no_logs;
   no_logs.include_log_writes = false;
   for (const auto& [label, options] :
-       {std::pair<const char*, wl::RunOptions>{"memory_tier", memory_tier},
-        {"loop_scale 0.01", loop_reduced},
+       {std::pair<const char*, wl::RunOptions>{"kernel", kernel},
         {"no log writes", no_logs}}) {
     for (const char* name : kWorkloadNames) {
       SCOPED_TRACE(std::string(name) + ", " + label);
@@ -494,11 +492,10 @@ void expect_pins(const std::vector<TracePin>& got,
 
 TEST(OpTracePins, NativeDrivers) {
   // Each driver at its default parameters, as the full application and
-  // as the I/O kernel Application I/O Discovery would make of it.
+  // as the I/O kernel (compute and log writes stripped) that the benches
+  // and examples tune.
   wl::RunOptions kernel;
   kernel.compute_scale = 0.0;
-  kernel.loop_scale = 0.01;
-  kernel.memory_tier = true;
   kernel.include_log_writes = false;
   const cfg::StackSettings settings = cfg::default_settings();
   std::vector<TracePin> got;
@@ -517,15 +514,15 @@ TEST(OpTracePins, NativeDrivers) {
   }
   expect_pins(got, {
                        {"VPIC-IO driver", 0x68c6f858667b2d62ull},
-                       {"VPIC-IO driver kernel", 0xb070515323d16c54ull},
+                       {"VPIC-IO driver kernel", 0xb6704febea05edf5ull},
                        {"FLASH-IO driver", 0xdebe63a159d4813full},
-                       {"FLASH-IO driver kernel", 0xfd930b0fec26120dull},
+                       {"FLASH-IO driver kernel", 0xaf04ad974ee10542ull},
                        {"HACC-IO driver", 0xec3b0a26c0af0ba7ull},
-                       {"HACC-IO driver kernel", 0x32f6c0622074ee7full},
+                       {"HACC-IO driver kernel", 0x9b6ad5f61fb2bae4ull},
                        {"MACSio driver", 0x957f28faebf32475ull},
-                       {"MACSio driver kernel", 0xdbbc156f76b218d5ull},
+                       {"MACSio driver kernel", 0xe1995288fc0b15fcull},
                        {"BD-CATS driver", 0x4fc60946ab46065bull},
-                       {"BD-CATS driver kernel", 0x1f199ad7eb2ec398ull},
+                       {"BD-CATS driver kernel", 0xbea42288871ae197ull},
                    });
 }
 
@@ -896,15 +893,29 @@ TEST(ReplayObjective, GateReasonExplainsIneligibility) {
 }
 
 TEST(ReplayObjective, ReplayModeOffNeverRecords) {
+  // HACC's source is settings-invariant, so only the mode keeps it off the
+  // fast path, and the gate says so.
   const minic::Program program = minic::parse(wl::sources::hacc());
   auto objective =
       tuner::make_kernel_objective(program, testbed(tuner::ReplayMode::kOff));
+  const tuner::ReplayGate gate = objective->replay_gate();
+  EXPECT_FALSE(gate.eligible);
+  EXPECT_EQ(gate.reason, "replay switched off");
+  EXPECT_TRUE(
+      tuner::make_kernel_objective(program, testbed(tuner::ReplayMode::kAuto))
+          ->replay_gate()
+          .eligible);
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
+  const std::uint64_t before = replayed_count();
   const tuner::Evaluation a =
       objective->evaluate(space.default_configuration());
   const tuner::Evaluation b =
       objective->evaluate(space.default_configuration());
+  const tuner::Evaluation c =
+      objective->evaluate(space.default_configuration());
   EXPECT_TRUE(same_bits(a.perf_mbps, b.perf_mbps));
+  EXPECT_TRUE(same_bits(a.perf_mbps, c.perf_mbps));
+  EXPECT_EQ(replayed_count() - before, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "minic/parser.hpp"
 #include "obs/metrics.hpp"
 #include "service/eval_engine.hpp"
 #include "service/result_cache.hpp"
@@ -163,6 +164,66 @@ TEST(EvalEngine, SharedAcrossConcurrentBatches) {
     ASSERT_EQ(r.size(), expected.size());
     for (std::size_t i = 0; i < r.size(); ++i) {
       EXPECT_EQ(r[i].perf_mbps, expected[i].perf_mbps);
+    }
+  }
+}
+
+/// A settings-invariant kernel: it writes, reads back and synchronizes, so
+/// the PFS and MPI collective counters of a run depend on the striping
+/// and collective-buffering settings of its configuration.
+const char* kBootstrapKernel = R"(
+int main() {
+  int f = h5fcreate("/scratch/bootstrap.h5");
+  int d = h5dcreate(f, "x", 8, 8192 * mpi_size());
+  h5dwrite_all(d, 8192);
+  mpi_barrier();
+  h5dread_all(d, 8192);
+  h5fclose(f);
+  return 0;
+}
+)";
+
+TEST(EvalEngine, ReplayBootstrapRunsOnTheCaller) {
+  // The first batch of an eligible objective records on configs[0] and
+  // verifies on configs[1], both on the calling thread; only the other six
+  // are engine tasks, and they replay. Which configurations ran the stack
+  // (twice, for the verify) is fixed, so the data-path counters repeat at
+  // every worker count.
+  const minic::Program program = minic::parse(kBootstrapKernel);
+  const std::vector<cfg::Configuration> configs =
+      some_configs(cfg::ConfigSpace::tunio12(), 8);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const char* const kCounters[] = {
+      "pfs.writes",     "pfs.bytes_written", "mpi.barriers",
+      "mpi.allreduces", "mpi.gathers",       "mpi.broadcasts",
+      "tuner.eval.replayed", "tuner.eval.interpreted"};
+  auto snapshot = [&] {
+    std::vector<std::uint64_t> values;
+    for (const char* name : kCounters) {
+      values.push_back(registry.counter(name).value());
+    }
+    return values;
+  };
+
+  std::vector<std::uint64_t> first_deltas;
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    for (unsigned workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE("repeat " + std::to_string(repeat) + ", workers " +
+                   std::to_string(workers));
+      EvalEngine engine(EngineOptions{workers});
+      auto objective = tuner::make_kernel_objective(program, small_testbed());
+      ASSERT_TRUE(objective->replay_gate().eligible);
+      const std::vector<std::uint64_t> before = snapshot();
+      engine.evaluate_batch(*objective, configs);
+      EXPECT_EQ(engine.tasks_completed(), 6u);
+      std::vector<std::uint64_t> deltas = snapshot();
+      for (std::size_t i = 0; i < deltas.size(); ++i) deltas[i] -= before[i];
+      EXPECT_EQ(deltas[6], 6u);  // replayed
+      EXPECT_EQ(deltas[7], 2u);  // interpreted: the record and the verify
+      EXPECT_GT(deltas[0], 0u);
+      EXPECT_GT(deltas[2], 0u);
+      if (first_deltas.empty()) first_deltas = deltas;
+      EXPECT_EQ(deltas, first_deltas);
     }
   }
 }
@@ -379,7 +440,6 @@ class FailsFirstRun final : public wl::Workload {
       : inner_(std::move(inner)) {}
 
   std::string name() const override { return inner_->name(); }
-  double design_alpha() const override { return inner_->design_alpha(); }
   wl::RunResult run(mpisim::MpiSim& mpi, pfs::PfsSimulator& fs,
                     const cfg::StackSettings& settings,
                     const wl::RunOptions& options) const override {

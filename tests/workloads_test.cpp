@@ -1,7 +1,10 @@
 // Tests for the application workloads: each runs on the stack, produces
-// sane metering, honors RunOptions (kernel/loop-reduction/path-switch),
-// and matches its mini-C twin.
+// sane metering, honors RunOptions (compute and log stripping), and
+// matches its mini-C twin.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <utility>
 
 #include "config/stack_settings.hpp"
 #include "discovery/discovery.hpp"
@@ -57,7 +60,6 @@ TEST(Workloads, VpicWritesEightVariables) {
   auto vpic = make_vpic(small_vpic());
   const RunResult result = run(*vpic);
   EXPECT_EQ(vpic->name(), "VPIC-IO");
-  EXPECT_DOUBLE_EQ(vpic->design_alpha(), 1.0);
   // 7 vars * 4B + 1 var * 8B = 36 bytes/particle/step, 2 steps, 32 ranks.
   const Bytes payload = 2ull * 32 * (1 << 14) * 36;
   EXPECT_GE(result.perf.counters.bytes_written, payload);
@@ -127,40 +129,6 @@ TEST(Workloads, ComputeScaleZeroShrinksRuntimeNotBandwidth) {
               full_run.perf.perf_mbps * 0.15);
 }
 
-TEST(Workloads, LoopReductionScalesIoAndExtrapolates) {
-  auto macsio = make_macsio(small_macsio());
-  RunOptions reduced;
-  reduced.loop_scale = 0.25;  // 4 dumps -> 1 dump
-  const RunResult full_run = run(*macsio);
-  const RunResult reduced_run = run(*macsio, reduced);
-  EXPECT_LT(reduced_run.perf.counters.bytes_written,
-            full_run.perf.counters.bytes_written);
-  // Extrapolated payload matches the full run's payload (logs aside).
-  EXPECT_NEAR(reduced_run.predicted_bytes_written,
-              static_cast<double>(full_run.perf.counters.bytes_written),
-              static_cast<double>(full_run.perf.counters.bytes_written) *
-                  0.05);
-}
-
-TEST(Workloads, LoopReductionNeverBelowOneIteration) {
-  auto vpic = make_vpic(small_vpic());
-  RunOptions tiny;
-  tiny.loop_scale = 0.0001;  // far below one iteration
-  const RunResult result = run(*vpic, tiny);
-  EXPECT_GT(result.perf.counters.bytes_written, 0u);
-}
-
-TEST(Workloads, MemoryTierSpeedsUpIo) {
-  auto hacc = make_hacc(small_hacc());
-  RunOptions disk;
-  disk.compute_scale = 0.0;
-  RunOptions memory = disk;
-  memory.memory_tier = true;
-  const RunResult disk_run = run(*hacc, disk);
-  const RunResult memory_run = run(*hacc, memory);
-  EXPECT_LT(memory_run.sim_seconds, disk_run.sim_seconds);
-}
-
 TEST(Workloads, TunedConfigurationBeatsDefaults) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
   cfg::Configuration tuned_config = space.default_configuration();
@@ -208,21 +176,25 @@ TEST(Workloads, MiniCTwinsMatchNativePayloads) {
       static_cast<double>(native_result.perf.counters.bytes_written) * 0.01);
 }
 
-/// Property: every workload's measured alpha is close to its design alpha
-/// across rank counts.
+/// Property: every workload's measured alpha (fraction of data written
+/// over total transferred) is close to its design alpha across rank
+/// counts.
 class AlphaProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(AlphaProperty, MeasuredAlphaTracksDesign) {
   const unsigned ranks = GetParam();
-  for (const auto& factory :
-       {make_vpic(small_vpic()), make_hacc(small_hacc()),
-        make_macsio(small_macsio())}) {
+  const std::pair<std::unique_ptr<Workload>, double> designs[] = {
+      {make_vpic(small_vpic()), 1.0},
+      {make_hacc(small_hacc()), 1.0},
+      {make_macsio(small_macsio()), 1.0},
+  };
+  for (const auto& [workload, design_alpha] : designs) {
     mpisim::MpiSim mpi(ranks);
     pfs::PfsSimulator fs;
     const RunResult result =
-        factory->run(mpi, fs, cfg::default_settings(), {});
-    EXPECT_NEAR(result.perf.alpha, factory->design_alpha(), 0.1)
-        << factory->name() << " at " << ranks << " ranks";
+        workload->run(mpi, fs, cfg::default_settings(), {});
+    EXPECT_NEAR(result.perf.alpha, design_alpha, 0.1)
+        << workload->name() << " at " << ranks << " ranks";
   }
 }
 
