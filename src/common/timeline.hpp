@@ -11,6 +11,11 @@
 // A `SharedChannel` models a bandwidth-shared medium (the interconnect):
 // each transfer pays a fixed latency plus bytes/bandwidth, and aggregate
 // utilization is tracked so that sustained overload stretches transfers.
+//
+// The PFS simulator's per-stripe-piece loop (`PfsSimulator::serve_pieces`
+// in `pfs/pfs.cpp`) repeats `acquire`'s and `transfer`'s arithmetic on its
+// own plain OST queues and channel horizon, without a per-piece check or
+// count; a change to either model must be made there too.
 #pragma once
 
 #include <cstdint>

@@ -54,6 +54,7 @@ Bytes MetadataManager::alloc_meta(Bytes bytes) {
 void MetadataManager::meta_update(Bytes bytes) {
   const Bytes offset = alloc_meta(bytes);
   working_set_ += bytes;
+  miss_period_ = miss_period();
   if (fapl_.coll_metadata_write) {
     // Stage: the dirty metadata will be written in one aggregated pass.
     if (staged_meta_bytes_ == 0) staged_meta_offset_ = offset;
@@ -70,13 +71,8 @@ void MetadataManager::meta_update(Bytes bytes) {
 
 void MetadataManager::meta_lookup(Bytes object_bytes) {
   ++lookup_counter_;
-  working_set_ = std::max(working_set_, working_set_ + 0);  // no-op clarity
-  const double p_miss = miss_probability();
   // Deterministic spreading: every k-th lookup misses, where k ~ 1/p.
-  const bool miss =
-      p_miss > 0.0 &&
-      (lookup_counter_ % std::max<std::uint64_t>(
-           1, static_cast<std::uint64_t>(1.0 / std::max(p_miss, 1e-9)))) == 0;
+  const bool miss = miss_period_ != 0 && lookup_counter_ % miss_period_ == 0;
   if (!miss) {
     ++stats_.mdc_hits;
     return;
@@ -113,12 +109,16 @@ void MetadataManager::flush() {
   staged_meta_bytes_ = 0;
 }
 
-double MetadataManager::miss_probability() const {
-  if (working_set_ == 0) return 0.0;
-  if (fapl_.mdc_nbytes >= working_set_) return 0.02;  // cold misses only
-  const double fit = static_cast<double>(fapl_.mdc_nbytes) /
-                     static_cast<double>(working_set_);
-  return std::clamp(1.0 - fit, 0.02, 1.0);
+std::uint64_t MetadataManager::miss_period() const {
+  if (working_set_ == 0) return 0;
+  double p_miss = 0.02;  // cold misses only, while the working set fits
+  if (fapl_.mdc_nbytes < working_set_) {
+    const double fit = static_cast<double>(fapl_.mdc_nbytes) /
+                       static_cast<double>(working_set_);
+    p_miss = std::clamp(1.0 - fit, 0.02, 1.0);
+  }
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(1.0 / std::max(p_miss, 1e-9)));
 }
 
 }  // namespace tunio::h5

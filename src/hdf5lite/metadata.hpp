@@ -67,9 +67,12 @@ class MetadataManager {
   const MetadataStats& stats() const { return stats_; }
 
  private:
-  /// Probability that a lookup misses the metadata cache, given the
-  /// current metadata working set vs. capacity.
-  double miss_probability() const;
+  /// Lookups per metadata-cache miss (0: none miss), about one over the
+  /// miss probability that the metadata working set vs. `mdc_nbytes`
+  /// gives. `meta_lookup` reads it from `miss_period_`, which
+  /// `meta_update` refreshes whenever the working set grows; the FAPL is
+  /// fixed at construction.
+  std::uint64_t miss_period() const;
 
   mpisim::MpiSim& mpi_;
   pfs::PfsSimulator& fs_;
@@ -83,6 +86,7 @@ class MetadataManager {
   Bytes staged_meta_offset_ = 0;  ///< start of the staged region
   Bytes working_set_ = 0;         ///< total live metadata bytes
   std::uint64_t lookup_counter_ = 0;  ///< deterministic miss spreading
+  std::uint64_t miss_period_ = 0;     ///< miss_period() at working_set_
   MetadataStats stats_;
 };
 

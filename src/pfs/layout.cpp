@@ -33,8 +33,23 @@ Bytes StripeLayout::object_offset_for(Bytes offset) const {
 std::vector<StripeExtent> StripeLayout::split(Bytes offset,
                                               Bytes length) const {
   std::vector<StripeExtent> pieces;
-  for_each_extent(offset, length,
-                  [&pieces](const StripeExtent& piece) { pieces.push_back(piece); });
+  Bytes cursor = offset;
+  Bytes remaining = length;
+  while (remaining > 0) {
+    const Bytes piece_len =
+        std::min(remaining, stripe_size_ - cursor % stripe_size_);
+    const StripeExtent piece{ost_for(cursor), object_offset_for(cursor),
+                             cursor, piece_len};
+    if (!pieces.empty() && pieces.back().ost == piece.ost &&
+        pieces.back().object_offset + pieces.back().length ==
+            piece.object_offset) {
+      pieces.back().length += piece_len;
+    } else {
+      pieces.push_back(piece);
+    }
+    cursor += piece_len;
+    remaining -= piece_len;
+  }
   return pieces;
 }
 

@@ -5,9 +5,15 @@
 // tunables). `StripeLayout::split` decomposes a byte extent of the file
 // into the per-OST object extents it touches — the exact mapping Lustre
 // clients perform before issuing RPCs to storage servers.
+//
+// The simulator does not call `split` per request:
+// `PfsSimulator::serve_pieces` walks the same pieces, dividing once per
+// request and then stepping OST and object offset by addition, with whole
+// stripes in runs on consecutive OSTs. `split` stays the readable
+// statement of the mapping, and the tests diff the simulator against a
+// per-extent reference built on it.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -38,35 +44,6 @@ class StripeLayout {
   /// pieces, in ascending file-offset order. Adjacent pieces on the same
   /// OST (possible when stripe_count == 1) are coalesced.
   std::vector<StripeExtent> split(Bytes offset, Bytes length) const;
-
-  /// Visitor form of split(): invokes `visit(const StripeExtent&)` for
-  /// each coalesced piece without materializing a vector. This is the
-  /// simulator's inner loop — every simulated read/write decomposes its
-  /// extent — so it must not allocate.
-  template <typename Visitor>
-  void for_each_extent(Bytes offset, Bytes length, Visitor&& visit) const {
-    Bytes cursor = offset;
-    Bytes remaining = length;
-    StripeExtent pending;
-    bool have_pending = false;
-    while (remaining > 0) {
-      const Bytes within_stripe = cursor % stripe_size_;
-      const Bytes piece_len = std::min(remaining, stripe_size_ - within_stripe);
-      StripeExtent piece{ost_for(cursor), object_offset_for(cursor), cursor,
-                         piece_len};
-      if (have_pending && pending.ost == piece.ost &&
-          pending.object_offset + pending.length == piece.object_offset) {
-        pending.length += piece_len;
-      } else {
-        if (have_pending) visit(pending);
-        pending = piece;
-        have_pending = true;
-      }
-      cursor += piece_len;
-      remaining -= piece_len;
-    }
-    if (have_pending) visit(pending);
-  }
 
   /// The OST serving a given file offset.
   unsigned ost_for(Bytes offset) const;

@@ -94,10 +94,18 @@ PfsCounters& PfsCounters::operator-=(const PfsCounters& other) {
 
 PfsSimulator::PfsSimulator(PfsProfile profile)
     : profile_(profile),
-      osts_(profile.num_osts),
-      network_(profile.network.aggregate_bandwidth,
-               profile.network.message_latency) {
+      osts_(profile.num_osts) {
   TUNIO_CHECK_MSG(profile_.num_osts > 0, "PFS needs at least one OST");
+  TUNIO_CHECK_MSG(profile_.network.aggregate_bandwidth > 0.0,
+                  "channel bandwidth must be > 0");
+  TUNIO_CHECK_MSG(profile_.network.message_latency >= 0.0,
+                  "negative channel latency");
+  const OstProfile& ost = profile_.ost;
+  TUNIO_CHECK_MSG(ost.stream_bandwidth > 0.0, "OST bandwidth must be > 0");
+  TUNIO_CHECK_MSG(ost.rmw_block > 0, "RMW block must be > 0");
+  TUNIO_CHECK_MSG(ost.seek_latency >= 0.0 && ost.request_overhead >= 0.0 &&
+                      ost.rmw_read_factor >= 0.0,
+                  "negative OST cost");
 }
 
 PfsSimulator::~PfsSimulator() {
@@ -129,7 +137,7 @@ void PfsSimulator::publish_metrics() {
   // OST busy time needs no flushed-baseline: every publish point rewinds
   // the timelines (or destroys them), so each busy span is added once.
   SimSeconds busy = 0.0;
-  for (const ResourceTimeline& ost : osts_) busy += ost.busy_time();
+  for (const OstQueue& ost : osts_) busy += ost.busy;
   metrics.ost_busy_seconds.add(busy);
 }
 
@@ -199,37 +207,32 @@ SimSeconds PfsSimulator::memory_io(SimSeconds start, Bytes length) const {
          static_cast<double>(length) / profile_.memory.bandwidth;
 }
 
-SimSeconds PfsSimulator::service_extent(File& file, const StripeExtent& extent,
-                                        SimSeconds start, bool is_write) {
-  ResourceTimeline& ost = osts_[extent.ost];
+SimSeconds PfsSimulator::piece_service(Bytes object_offset, Bytes length,
+                                       bool sequential, bool is_write) {
   const OstProfile& prof = profile_.ost;
-
-  // Sequentiality: a request that continues where the previous one on this
+  // Sequentiality: a piece that continues where the previous one on its
   // OST object ended skips the seek. (kNeverAccessed never compares equal
-  // to a real offset, so the first request on an object always seeks.)
-  Bytes& last_end = file.last_end_per_ost[extent.ost];
-  const bool sequential = last_end == extent.object_offset;
-  last_end = extent.object_offset + extent.length;
+  // to a real offset, so the first piece on an object always seeks.)
+  SimSeconds service =
+      prof.request_overhead +
+      static_cast<double>(length) / prof.stream_bandwidth;
+  if (sequential) return service;
+  service += prof.seek_latency;
 
-  SimSeconds service = prof.request_overhead +
-                       static_cast<double>(extent.length) /
-                           prof.stream_bandwidth;
-  if (!sequential) service += prof.seek_latency;
-
-  if (is_write && !sequential) {
+  if (is_write) {
     // Partial leading/trailing device blocks force a read-modify-write:
     // the untouched remainder of each partial block must be pre-read.
     // Sequential appends are exempt — client page caches absorb streaming
     // partial blocks and flush them whole.
     const Bytes block = prof.rmw_block;
-    const Bytes head_pad = extent.object_offset % block;
-    const Bytes tail_end = (extent.object_offset + extent.length) % block;
+    const Bytes head_pad = object_offset % block;
+    const Bytes tail_end = (object_offset + length) % block;
     Bytes pre_read = 0;
     if (head_pad != 0) pre_read += head_pad;
-    if (tail_end != 0 && extent.length + head_pad > tail_end) {
+    if (tail_end != 0 && length + head_pad > tail_end) {
       pre_read += block - tail_end;
     }
-    if (extent.length + pre_read < block && pre_read > 0) {
+    if (length + pre_read < block && pre_read > 0) {
       // Tiny write inside one block: cap the pre-read at one block.
       pre_read = std::min<Bytes>(pre_read, block);
     }
@@ -239,15 +242,118 @@ SimSeconds PfsSimulator::service_extent(File& file, const StripeExtent& extent,
       counters_.rmw_bytes += pre_read;
     }
   }
+  return service;
+}
 
-  if (is_write) {
-    // Data crosses the network to the server, then the OST services it.
-    const SimSeconds arrived = network_.transfer(start, extent.length);
-    return ost.acquire(arrived, service).end;
+template <bool kWrite>
+SimSeconds PfsSimulator::serve_pieces(File& file, SimSeconds start,
+                                      Bytes offset, Bytes length) {
+  // The request's stripe pieces, in file-offset order: the pieces
+  // `StripeLayout::split` lists. The divisions happen once, here; each
+  // later piece steps its OST and object offset by addition. With one
+  // stripe the request is a single piece at object offset `offset` (split
+  // coalesces it).
+  const StripeLayout& layout = file.layout;
+  const Bytes unit = layout.stripe_size();
+  const unsigned count = layout.stripe_count();
+  const unsigned num_osts = profile_.num_osts;
+  const unsigned first_ost = layout.ost_offset() % num_osts;
+  const Bytes stripe_index = offset / unit;
+  const Bytes within = offset % unit;
+  unsigned slot = static_cast<unsigned>(stripe_index % count);
+  unsigned ost = (layout.ost_offset() + slot) % num_osts;
+  Bytes round_base = stripe_index / count * unit;  // this round's objects
+  const auto next_piece = [&] {
+    if (++slot == count) {
+      slot = 0;
+      ost = first_ost;
+      round_base += unit;
+    } else if (++ost == num_osts) {
+      ost = 0;
+    }
+  };
+
+  Bytes* last_end = file.last_end_per_ost.data();
+  OstQueue* osts = osts_.data();
+  const Bps bandwidth = profile_.network.aggregate_bandwidth;
+  const SimSeconds latency = profile_.network.message_latency;
+  SimSeconds horizon = network_horizon_;
+  SimSeconds done = start;
+  // One piece through the interconnect and its OST's queue: a write
+  // crosses the network, then the OST services it; a read is serviced,
+  // then returns over the network. This is `SharedChannel::transfer` and
+  // `ResourceTimeline::acquire`, operation for operation. Service times
+  // are never negative (the constructor checks the OST profile), so no
+  // piece checks its own, and nothing here can throw: `horizon` is
+  // always written back.
+  const auto serve = [&](OstQueue& queue, SimSeconds service,
+                         SimSeconds drain) {
+    if constexpr (kWrite) {
+      const SimSeconds sent = std::max(start, horizon);
+      horizon = sent + drain;
+      const SimSeconds arrived = sent + latency + drain;
+      queue.next_free = std::max(arrived, queue.next_free) + service;
+      queue.busy += service;
+      done = std::max(done, queue.next_free);
+    } else {
+      queue.next_free = std::max(start, queue.next_free) + service;
+      queue.busy += service;
+      const SimSeconds sent = std::max(queue.next_free, horizon);
+      horizon = sent + drain;
+      done = std::max(done, sent + latency + drain);
+    }
+  };
+  // The first and last pieces may be partial, and any piece may not
+  // continue its object: those can seek and read-modify-write.
+  const auto serve_any = [&](Bytes object_offset, Bytes piece) {
+    const bool sequential = last_end[ost] == object_offset;
+    last_end[ost] = object_offset + piece;
+    serve(osts[ost], piece_service(object_offset, piece, sequential, kWrite),
+          static_cast<double>(piece) / bandwidth);
+  };
+
+  const Bytes head = count == 1 ? length : std::min(length, unit - within);
+  serve_any(round_base + within, head);
+  if (const Bytes rest = length - head; rest > 0) {
+    // Whole stripes, in runs on consecutive OSTs. One that continues its
+    // object (all but, at most, the first on each OST) needs no seek and
+    // no RMW, so they share one service and drain time. Per piece the
+    // loop is the channel's and the queue's floating-point arithmetic,
+    // one compare and the stores of the object's end and the queue: no
+    // call, no division, no counter. Its time is the latency of the
+    // horizon's chain. Integer and memory throughput, which slows most
+    // when other work shares the core, is kept out of it, so the loop's
+    // host time varies little from run to run.
+    const Bytes whole = rest / unit;
+    const Bytes tail = rest - whole * unit;
+    const SimSeconds stripe_service =
+        piece_service(/*object_offset=*/0, unit, /*sequential=*/true, kWrite);
+    const SimSeconds stripe_drain = static_cast<double>(unit) / bandwidth;
+    for (Bytes left = whole; left > 0;) {
+      next_piece();
+      const unsigned run = static_cast<unsigned>(
+          std::min<Bytes>(left, std::min(count - slot, num_osts - ost)));
+      const Bytes round_end = round_base + unit;
+      for (unsigned o = ost, stop = ost + run; o != stop; ++o) {
+        SimSeconds service = stripe_service;
+        if (last_end[o] != round_base) [[unlikely]] {
+          service = piece_service(round_base, unit, /*sequential=*/false,
+                                  kWrite);
+        }
+        last_end[o] = round_end;
+        serve(osts[o], service, stripe_drain);
+      }
+      slot += run - 1;
+      ost += run - 1;
+      left -= run;
+    }
+    if (tail > 0) {
+      next_piece();
+      serve_any(round_base, tail);
+    }
   }
-  // Reads: OST services the request, then data returns over the network.
-  const SimSeconds served = ost.acquire(start, service).end;
-  return network_.transfer(served, extent.length);
+  network_horizon_ = horizon;
+  return done;
 }
 
 SimSeconds PfsSimulator::request(FileHandle handle, SimSeconds start,
@@ -266,11 +372,9 @@ SimSeconds PfsSimulator::request(FileHandle handle, SimSeconds start,
   SimSeconds done = start;
   if (file.tier == Tier::kMemory) {
     done = memory_io(start, length);
-  } else {
-    file.layout.for_each_extent(
-        offset, length, [&](const StripeExtent& extent) {
-          done = std::max(done, service_extent(file, extent, start, is_write));
-        });
+  } else if (length > 0) {
+    done = is_write ? serve_pieces<true>(file, start, offset, length)
+                    : serve_pieces<false>(file, start, offset, length);
   }
   note_io(is_write, length, start, done);
   return done;
@@ -291,15 +395,15 @@ const StripeLayout& PfsSimulator::file_layout(FileHandle handle) const {
 std::vector<SimSeconds> PfsSimulator::ost_busy_times() const {
   std::vector<SimSeconds> busy;
   busy.reserve(osts_.size());
-  for (const ResourceTimeline& ost : osts_) busy.push_back(ost.busy_time());
+  for (const OstQueue& ost : osts_) busy.push_back(ost.busy);
   return busy;
 }
 
 void PfsSimulator::reset() {
   publish_metrics();
-  for (ResourceTimeline& ost : osts_) ost.reset();
+  std::fill(osts_.begin(), osts_.end(), OstQueue{});
   mds_.reset();
-  network_.reset();
+  network_horizon_ = 0.0;
   files_.clear();
   index_.clear();
   counters_ = {};
@@ -309,9 +413,9 @@ void PfsSimulator::reset() {
 
 void PfsSimulator::quiesce() {
   publish_metrics();
-  for (ResourceTimeline& ost : osts_) ost.reset();
+  std::fill(osts_.begin(), osts_.end(), OstQueue{});
   mds_.reset();
-  network_.reset();
+  network_horizon_ = 0.0;
   for (File& file : files_) {
     std::fill(file.last_end_per_ost.begin(), file.last_end_per_ost.end(),
               kNeverAccessed);

@@ -15,7 +15,8 @@
 //
 // All operations take the caller's simulated clock and return the
 // completion time; contention between concurrent callers emerges from
-// the shared `ResourceTimeline`s.
+// the shared queues: the MDS's `ResourceTimeline`, each OST's FIFO queue
+// and the interconnect's bandwidth horizon.
 //
 // A path is resolved once, by `create_file`, `open_file` or `find_file`,
 // into an integer `FileHandle`; every other operation takes the handle,
@@ -239,9 +240,26 @@ class PfsSimulator {
   SimSeconds request(FileHandle handle, SimSeconds start, Bytes offset,
                      Bytes length, bool is_write);
 
-  /// Services one per-OST extent; returns completion time.
-  SimSeconds service_extent(File& file, const StripeExtent& extent,
-                            SimSeconds start, bool is_write);
+  /// One OST's FIFO queue: when it is next free and the service seconds
+  /// it has granted. (`ResourceTimeline`'s arithmetic, kept as two plain
+  /// fields so that servicing a stripe piece is a few floating-point
+  /// operations and one store; see `serve_pieces`.)
+  struct OstQueue {
+    SimSeconds next_free = 0.0;
+    SimSeconds busy = 0.0;
+  };
+
+  /// Services a disk-tier request of `length` > 0 bytes stripe piece by
+  /// stripe piece; returns its completion time.
+  template <bool kWrite>
+  SimSeconds serve_pieces(File& file, SimSeconds start, Bytes offset,
+                          Bytes length);
+
+  /// OST service seconds for one stripe piece: overhead and streaming
+  /// time, plus, when it does not continue its object, the seek and for
+  /// writes the read-modify-write pre-read (counted in `rmw_bytes`).
+  SimSeconds piece_service(Bytes object_offset, Bytes length,
+                           bool sequential, bool is_write);
 
   SimSeconds memory_io(SimSeconds start, Bytes length) const;
 
@@ -253,9 +271,11 @@ class PfsSimulator {
   void publish_metrics();
 
   PfsProfile profile_;
-  std::vector<ResourceTimeline> osts_;
+  std::vector<OstQueue> osts_;
   ResourceTimeline mds_;
-  SharedChannel network_;
+  /// Time through which the interconnect's aggregate bandwidth is spoken
+  /// for: transfers drain it in arrival order.
+  SimSeconds network_horizon_ = 0.0;
   /// Handle-indexed file table (deque: references stay stable) plus the
   /// path index that create/open/find/remove resolve against.
   std::deque<File> files_;

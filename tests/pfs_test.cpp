@@ -1,9 +1,16 @@
 // Tests for the Lustre-like PFS simulator: stripe layout math, cost-model
-// behaviour, contention, tiers, and counters.
+// behaviour, contention, tiers, and counters, plus a differential test of
+// the simulator's striped data path against a per-extent reference.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/timeline.hpp"
 #include "obs/metrics.hpp"
 #include "pfs/layout.hpp"
 #include "pfs/pfs.hpp"
@@ -87,6 +94,20 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(Bytes{1 * MiB}, 8u),
                       std::make_tuple(Bytes{4 * MiB}, 16u),
                       std::make_tuple(Bytes{16 * MiB}, 3u)));
+
+TEST(PfsSimulator, RejectsInvalidOstProfile) {
+  // The striped data path relies on every OST service time being finite
+  // and non-negative.
+  PfsProfile zero_bandwidth;
+  zero_bandwidth.ost.stream_bandwidth = 0.0;
+  EXPECT_THROW(PfsSimulator{zero_bandwidth}, Error);
+  PfsProfile zero_block;
+  zero_block.ost.rmw_block = 0;
+  EXPECT_THROW(PfsSimulator{zero_block}, Error);
+  PfsProfile negative_seek;
+  negative_seek.ost.seek_latency = -1e-3;
+  EXPECT_THROW(PfsSimulator{negative_seek}, Error);
+}
 
 TEST(PfsSimulator, CreateOpenRemove) {
   PfsSimulator fs;
@@ -303,24 +324,6 @@ TEST_P(PfsMonotoneProperty, WriteTimeMonotoneInSize) {
 INSTANTIATE_TEST_SUITE_P(StripeCounts, PfsMonotoneProperty,
                          ::testing::Values(1u, 2u, 8u, 32u, 64u));
 
-TEST(StripeLayout, VisitorMatchesSplit) {
-  StripeLayout layout(1 * MiB, 4, 2, 8);
-  const Bytes offset = 512 * KiB;
-  const Bytes length = 13 * MiB + 777;
-  const auto pieces = layout.split(offset, length);
-  std::vector<StripeExtent> visited;
-  layout.for_each_extent(offset, length, [&](const StripeExtent& piece) {
-    visited.push_back(piece);
-  });
-  ASSERT_EQ(visited.size(), pieces.size());
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    EXPECT_EQ(visited[i].ost, pieces[i].ost);
-    EXPECT_EQ(visited[i].object_offset, pieces[i].object_offset);
-    EXPECT_EQ(visited[i].file_offset, pieces[i].file_offset);
-    EXPECT_EQ(visited[i].length, pieces[i].length);
-  }
-}
-
 TEST(PfsSimulator, OpenedHandleMatchesCreatedHandle) {
   // A handle resolved again by open_file addresses the same file as the
   // one create_file returned: same data-path timing, size and counters.
@@ -394,6 +397,247 @@ TEST(PfsSimulator, HandleSequentialDetectionSurvivesQuiesce) {
   const SimSeconds cold = fs.write(opened.handle, warm_start, odd, odd);
   EXPECT_GT(cold, warm);
 }
+
+/// The per-extent model that `PfsSimulator::serve_pieces` replaced, kept
+/// as its oracle: each request is decomposed by
+/// `StripeLayout::split` and every extent is serviced on its own, with its
+/// own service time, drain and RMW arithmetic. File placement follows
+/// `create_file` (round-robin start OST, advanced by the requested count).
+class ReferencePfs {
+ public:
+  explicit ReferencePfs(const PfsProfile& profile)
+      : profile_(profile),
+        osts_(profile.num_osts),
+        network_(profile.network.aggregate_bandwidth,
+                 profile.network.message_latency) {}
+
+  std::size_t create(Bytes stripe_size, unsigned stripe_count) {
+    files_.push_back({StripeLayout(stripe_size, stripe_count,
+                                   next_ost_offset_, profile_.num_osts),
+                      std::vector<Bytes>(profile_.num_osts, kNever)});
+    next_ost_offset_ = (next_ost_offset_ + stripe_count) % profile_.num_osts;
+    ++counters_.metadata_ops;
+    return files_.size() - 1;
+  }
+
+  const StripeLayout& layout(std::size_t file) const {
+    return files_[file].layout;
+  }
+
+  SimSeconds request(std::size_t index, SimSeconds start, Bytes offset,
+                     Bytes length, bool is_write) {
+    if (is_write) {
+      ++counters_.writes;
+      counters_.bytes_written += length;
+      counters_.write_sizes.record(length);
+    } else {
+      ++counters_.reads;
+      counters_.bytes_read += length;
+      counters_.read_sizes.record(length);
+    }
+    File& file = files_[index];
+    SimSeconds done = start;
+    for (const StripeExtent& extent : file.layout.split(offset, length)) {
+      done = std::max(done, service_extent(file, extent, start, is_write));
+    }
+    return done;
+  }
+
+  void quiesce() {
+    for (ResourceTimeline& ost : osts_) ost.reset();
+    network_.reset();
+    for (File& file : files_) {
+      std::fill(file.last_end.begin(), file.last_end.end(), kNever);
+    }
+  }
+
+  const PfsCounters& counters() const { return counters_; }
+
+  std::vector<SimSeconds> ost_busy_times() const {
+    std::vector<SimSeconds> busy;
+    for (const ResourceTimeline& ost : osts_) busy.push_back(ost.busy_time());
+    return busy;
+  }
+
+ private:
+  static constexpr Bytes kNever = ~Bytes{0};
+
+  struct File {
+    StripeLayout layout;
+    std::vector<Bytes> last_end;  ///< per absolute OST id
+  };
+
+  SimSeconds service_extent(File& file, const StripeExtent& extent,
+                            SimSeconds start, bool is_write) {
+    ResourceTimeline& ost = osts_[extent.ost];
+    const OstProfile& prof = profile_.ost;
+    Bytes& last_end = file.last_end[extent.ost];
+    const bool sequential = last_end == extent.object_offset;
+    last_end = extent.object_offset + extent.length;
+
+    SimSeconds service = prof.request_overhead +
+                         static_cast<double>(extent.length) /
+                             prof.stream_bandwidth;
+    if (!sequential) service += prof.seek_latency;
+
+    if (is_write && !sequential) {
+      const Bytes block = prof.rmw_block;
+      const Bytes head_pad = extent.object_offset % block;
+      const Bytes tail_end = (extent.object_offset + extent.length) % block;
+      Bytes pre_read = 0;
+      if (head_pad != 0) pre_read += head_pad;
+      if (tail_end != 0 && extent.length + head_pad > tail_end) {
+        pre_read += block - tail_end;
+      }
+      if (extent.length + pre_read < block && pre_read > 0) {
+        pre_read = std::min<Bytes>(pre_read, block);
+      }
+      if (pre_read > 0) {
+        service += prof.rmw_read_factor *
+                   static_cast<double>(pre_read) / prof.stream_bandwidth;
+        counters_.rmw_bytes += pre_read;
+      }
+    }
+
+    if (is_write) {
+      const SimSeconds arrived = network_.transfer(start, extent.length);
+      return ost.acquire(arrived, service).end;
+    }
+    const SimSeconds served = ost.acquire(start, service).end;
+    return network_.transfer(served, extent.length);
+  }
+
+  PfsProfile profile_;
+  std::vector<ResourceTimeline> osts_;
+  SharedChannel network_;
+  std::vector<File> files_;
+  PfsCounters counters_;
+  unsigned next_ost_offset_ = 0;
+};
+
+void expect_same_histogram(const SizeHistogram& sim,
+                           const SizeHistogram& ref) {
+  EXPECT_EQ(sim.counts, ref.counts);
+  EXPECT_EQ(sim.largest, ref.largest);
+}
+
+void expect_same_state(const PfsSimulator& sim, const ReferencePfs& ref) {
+  const PfsCounters& a = sim.counters();
+  const PfsCounters& b = ref.counters();
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.bytes_written, b.bytes_written);
+  EXPECT_EQ(a.metadata_ops, b.metadata_ops);
+  EXPECT_EQ(a.rmw_bytes, b.rmw_bytes);
+  expect_same_histogram(a.read_sizes, b.read_sizes);
+  expect_same_histogram(a.write_sizes, b.write_sizes);
+  // Bit for bit: EXPECT_EQ compares doubles with ==.
+  EXPECT_EQ(sim.ost_busy_times(), ref.ost_busy_times());
+}
+
+/// Parameter: OST pool size and RMW block of the profile under test.
+class PfsDifferential
+    : public ::testing::TestWithParam<std::tuple<unsigned, Bytes>> {};
+
+/// Seeded random request sequences over many files: stripe units from
+/// 64 KiB to 16 MiB plus odd sizes, stripe counts 1, 2, 7, 64 and more
+/// than the pool (clamped), start OSTs that wrap the pool, sequential
+/// streams (the whole-stripe fast path), unaligned and zero-length
+/// requests, reads and writes, and quiesce() between batches. Every
+/// completion time, counter and OST busy time must equal the per-extent
+/// reference's bit for bit.
+TEST_P(PfsDifferential, MatchesPerExtentReference) {
+  PfsProfile profile;
+  std::tie(profile.num_osts, profile.ost.rmw_block) = GetParam();
+  const std::vector<Bytes> units = {64 * KiB, 1 * MiB,         4 * MiB,
+                                    16 * MiB, 65537,           3 * MiB + 123,
+                                    1000,     1 * MiB + 4096};
+  const std::vector<unsigned> counts = {1, 2, 7, 64, 100};
+
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    PfsSimulator sim(profile);
+    ReferencePfs ref(profile);
+    std::vector<FileHandle> handles;
+    std::vector<Bytes> cursors;  // per-file streaming position
+    for (int f = 0; f < 12; ++f) {
+      CreateOptions options;
+      options.stripe_size = rng.choice(units);
+      options.stripe_count = rng.choice(counts);
+      handles.push_back(
+          sim.create_file("/f" + std::to_string(f), 0.0, options).handle);
+      const std::size_t index =
+          ref.create(*options.stripe_size, *options.stripe_count);
+      ASSERT_EQ(sim.file_layout(handles.back()).ost_offset(),
+                ref.layout(index).ost_offset());
+      ASSERT_EQ(sim.file_layout(handles.back()).stripe_count(),
+                ref.layout(index).stripe_count());
+      cursors.push_back(0);
+    }
+
+    SimSeconds clock = 0.0;
+    for (int batch = 0; batch < 6; ++batch) {
+      for (int i = 0; i < 300; ++i) {
+        const std::size_t f = rng.index(handles.size());
+        const StripeLayout& layout = ref.layout(f);
+        const Bytes unit = layout.stripe_size();
+        const Bytes span = unit * layout.stripe_count();
+        Bytes offset = 0;
+        Bytes length = 0;
+        switch (rng.uniform_int(0, 4)) {
+          case 0:  // stream on from where this file's last request ended
+            offset = cursors[f];
+            length = static_cast<Bytes>(rng.uniform_int(1, 3)) * span;
+            break;
+          case 1:  // whole stripes from a stripe boundary
+            offset = static_cast<Bytes>(rng.uniform_int(0, 40)) * unit;
+            length = static_cast<Bytes>(rng.uniform_int(1, 70)) * unit;
+            break;
+          case 2:  // unaligned anywhere
+            offset = static_cast<Bytes>(rng.uniform_int(0, 40 * span));
+            length = static_cast<Bytes>(rng.uniform_int(1, 3 * span));
+            break;
+          case 3:  // small, possibly inside one device block
+            offset = static_cast<Bytes>(rng.uniform_int(0, 8 * span));
+            length = static_cast<Bytes>(rng.uniform_int(1, 8 * KiB));
+            break;
+          default:  // zero-length: services nothing
+            offset = static_cast<Bytes>(rng.uniform_int(0, 8 * span));
+            length = 0;
+            break;
+        }
+        cursors[f] = offset + length;
+        const bool is_write = rng.chance(0.7);
+        // Start at the running clock (queues form) or at a random earlier
+        // time (requests find idle resources).
+        const SimSeconds start =
+            rng.chance(0.5) ? clock : rng.uniform(0.0, clock + 1e-3);
+        const SimSeconds expected =
+            ref.request(f, start, offset, length, is_write);
+        const SimSeconds got =
+            is_write ? sim.write(handles[f], start, offset, length)
+                     : sim.read(handles[f], start, offset, length);
+        ASSERT_EQ(got, expected)
+            << "request " << i << " of batch " << batch << ": file " << f
+            << (is_write ? " write " : " read ") << offset << "+" << length;
+        // Sometimes the caller waits for its request before the next one.
+        if (rng.chance(0.3)) clock = std::max(clock, got);
+      }
+      expect_same_state(sim, ref);
+      sim.quiesce();
+      ref.quiesce();
+      clock = 0.0;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Profiles, PfsDifferential,
+    ::testing::Values(std::make_tuple(64u, Bytes{1 * MiB}),  // the default
+                      std::make_tuple(13u, Bytes{192 * KiB}),
+                      std::make_tuple(5u, Bytes{1000})));
 
 }  // namespace
 }  // namespace tunio::pfs
