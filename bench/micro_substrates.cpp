@@ -123,7 +123,7 @@ static void BM_NnForward(benchmark::State& state) {
   nn::DenseNet net({14, 24, 24, 12}, rng);
   const std::vector<double> input(14, 0.5);
   for (auto _ : state) {
-    auto out = net.forward(input);
+    const auto& out = net.forward(input);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations());

@@ -13,6 +13,7 @@
 // to serial ones.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -52,9 +53,15 @@ class Rng {
     return static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(n) - 1));
   }
 
-  /// Normal draw.
+  /// Normal draw. A zero `stddev` returns `mean` (after the same engine
+  /// draws); a negative or non-finite one throws. The draw is scaled
+  /// exactly as `std::normal_distribution<double>(mean, stddev)` scales
+  /// it, so results for `stddev > 0` are that distribution's.
   double normal(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    TUNIO_CHECK_MSG(std::isfinite(stddev) && stddev >= 0.0,
+                    "normal() needs a finite, non-negative stddev");
+    const double z = std::normal_distribution<double>()(engine_);
+    return z * stddev + mean;
   }
 
   /// Bernoulli draw.

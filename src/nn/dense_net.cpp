@@ -3,20 +3,40 @@
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
+#include <utility>
+
+#include "common/error.hpp"
 
 namespace tunio::nn {
 
 namespace {
 
-/// Zeroes an Adam moment that has decayed below the normal range. Moments
-/// behind dead ReLU units shrink geometrically forever, and arithmetic on
+struct AdamStep {
+  double lr, b1, b2, c1, c2, bc1, bc2, epsilon;
+};
+
+/// Adam update of `n` parameters whose gradients are `scale * g[i]`.
+///
+/// A moment that decays below the normal range is zeroed. Moments behind
+/// dead ReLU units shrink geometrically forever, and arithmetic on
 /// subnormals is microcode-slow on common CPUs. A moment that small moves
 /// no weight of normal size by even one ulp, so every weight and bias
 /// stays bit-identical. Done per value rather than by setting the FPU's
 /// flush-to-zero mode, which is x86-only and would change the simulator's
-/// arithmetic too.
-void flush_subnormal(double& moment) {
-  if (std::fabs(moment) < DBL_MIN) moment = 0.0;
+/// arithmetic too. The flush is a select, so the loop vectorises.
+void adam_update(double* __restrict w, double* __restrict m,
+                 double* __restrict v, const double* __restrict g,
+                 double scale, std::size_t n, const AdamStep& s) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double grad = scale * g[i];
+    double mi = s.b1 * m[i] + s.c1 * grad;
+    double vi = s.b2 * v[i] + s.c2 * grad * grad;
+    mi = std::fabs(mi) < DBL_MIN ? 0.0 : mi;
+    vi = std::fabs(vi) < DBL_MIN ? 0.0 : vi;
+    m[i] = mi;
+    v[i] = vi;
+    w[i] -= s.lr * (mi / s.bc1) / (std::sqrt(vi / s.bc2) + s.epsilon);
+  }
 }
 
 }  // namespace
@@ -27,97 +47,98 @@ DenseNet::DenseNet(std::vector<std::size_t> layer_sizes, Rng& rng,
   TUNIO_CHECK_MSG(layer_sizes_.size() >= 2, "network needs >= 2 layers");
   layers_.reserve(layer_sizes_.size() - 1);
   for (std::size_t l = 0; l + 1 < layer_sizes_.size(); ++l) {
-    const std::size_t in = layer_sizes_[l];
-    const std::size_t out = layer_sizes_[l + 1];
     Layer layer;
-    layer.weights = Matrix(out, in);
+    layer.in = layer_sizes_[l];
+    layer.out = layer_sizes_[l + 1];
+    layer.weights.resize(layer.out * layer.in);
     // He initialization for the ReLU stack.
-    const double scale = std::sqrt(2.0 / static_cast<double>(in));
-    for (double& w : layer.weights.data()) w = rng.normal(0.0, scale);
-    layer.bias.assign(out, 0.0);
-    layer.m_w = Matrix(out, in);
-    layer.v_w = Matrix(out, in);
-    layer.m_b.assign(out, 0.0);
-    layer.v_b.assign(out, 0.0);
+    const double scale = std::sqrt(2.0 / static_cast<double>(layer.in));
+    for (double& w : layer.weights) w = rng.normal(0.0, scale);
+    layer.bias.assign(layer.out, 0.0);
+    layer.m_w.assign(layer.weights.size(), 0.0);
+    layer.v_w.assign(layer.weights.size(), 0.0);
+    layer.m_b.assign(layer.out, 0.0);
+    layer.v_b.assign(layer.out, 0.0);
+    activations_.emplace_back(layer.out, 0.0);
     layers_.push_back(std::move(layer));
   }
+  const std::size_t widest =
+      *std::max_element(layer_sizes_.begin(), layer_sizes_.end());
+  delta_.assign(widest, 0.0);
+  delta_next_.assign(widest, 0.0);
 }
 
-std::vector<double> DenseNet::forward_cached(
+const std::vector<double>& DenseNet::forward(
     const std::vector<double>& input) const {
   TUNIO_CHECK_MSG(input.size() == input_size(), "input size mismatch");
-  activations_.clear();
-  activations_.push_back(input);
-  std::vector<double> current = input;
+  const double* x = input.data();
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    std::vector<double> z = layers_[l].weights.multiply(current);
-    for (std::size_t i = 0; i < z.size(); ++i) z[i] += layers_[l].bias[i];
-    if (l + 1 < layers_.size()) {
-      for (double& v : z) v = std::max(0.0, v);  // ReLU hidden
+    const Layer& layer = layers_[l];
+    const bool hidden = l + 1 < layers_.size();
+    double* y = activations_[l].data();
+    for (std::size_t o = 0; o < layer.out; ++o) {
+      const double* row = layer.weights.data() + o * layer.in;
+      double sum = 0.0;
+      for (std::size_t i = 0; i < layer.in; ++i) sum += row[i] * x[i];
+      sum += layer.bias[o];
+      y[o] = hidden ? std::max(0.0, sum) : sum;  // ReLU hidden
     }
-    activations_.push_back(z);
-    current = std::move(z);
+    x = y;
   }
-  return current;
+  return activations_.back();
 }
 
-std::vector<double> DenseNet::forward(const std::vector<double>& input) const {
-  return forward_cached(input);
-}
-
-std::vector<double> DenseNet::forward_with_embedding(
+const std::vector<double>& DenseNet::forward_with_embedding(
     const std::vector<double>& input, std::vector<double>* embedding) const {
-  std::vector<double> out = forward_cached(input);
-  if (embedding != nullptr && activations_.size() >= 2) {
-    *embedding = activations_[activations_.size() - 2];
+  const std::vector<double>& out = forward(input);
+  if (embedding != nullptr) {
+    // With no hidden layer the embedding is the input itself.
+    *embedding =
+        layers_.size() >= 2 ? activations_[activations_.size() - 2] : input;
   }
   return out;
 }
 
-void DenseNet::backward(const std::vector<double>& input,
-                        const std::vector<double>& out_error) {
-  (void)input;  // activations_[0] already holds it
+void DenseNet::backward(const std::vector<double>& input) {
   ++step_;
-  const double lr = adam_.learning_rate;
-  const double b1 = adam_.beta1;
-  const double b2 = adam_.beta2;
-  const double bc1 = 1.0 - std::pow(b1, static_cast<double>(step_));
-  const double bc2 = 1.0 - std::pow(b2, static_cast<double>(step_));
+  AdamStep s;
+  s.lr = adam_.learning_rate;
+  s.b1 = adam_.beta1;
+  s.b2 = adam_.beta2;
+  s.c1 = 1.0 - s.b1;
+  s.c2 = 1.0 - s.b2;
+  s.bc1 = 1.0 - std::pow(s.b1, static_cast<double>(step_));
+  s.bc2 = 1.0 - std::pow(s.b2, static_cast<double>(step_));
+  s.epsilon = adam_.epsilon;
 
-  std::vector<double> delta = out_error;
+  double* delta = delta_.data();
+  double* next = delta_next_.data();
   for (std::size_t l = layers_.size(); l-- > 0;) {
     Layer& layer = layers_[l];
-    const std::vector<double>& a_in = activations_[l];
+    const double* a_in = l > 0 ? activations_[l - 1].data() : input.data();
     // Gradient wrt pre-activation: hidden layers carry the ReLU mask.
     if (l + 1 < layers_.size()) {
-      const std::vector<double>& a_out = activations_[l + 1];
-      for (std::size_t i = 0; i < delta.size(); ++i) {
-        if (a_out[i] <= 0.0) delta[i] = 0.0;
+      const double* a_out = activations_[l].data();
+      for (std::size_t o = 0; o < layer.out; ++o) {
+        delta[o] = a_out[o] <= 0.0 ? 0.0 : delta[o];
       }
     }
-    // Parameter updates (Adam).
-    for (std::size_t o = 0; o < layer.weights.rows(); ++o) {
-      for (std::size_t i = 0; i < layer.weights.cols(); ++i) {
-        const double grad = delta[o] * a_in[i];
-        double& m = layer.m_w(o, i);
-        double& v = layer.v_w(o, i);
-        m = b1 * m + (1.0 - b1) * grad;
-        v = b2 * v + (1.0 - b2) * grad * grad;
-        flush_subnormal(m);
-        flush_subnormal(v);
-        layer.weights(o, i) -=
-            lr * (m / bc1) / (std::sqrt(v / bc2) + adam_.epsilon);
-      }
-      double& mb = layer.m_b[o];
-      double& vb = layer.v_b[o];
-      mb = b1 * mb + (1.0 - b1) * delta[o];
-      vb = b2 * vb + (1.0 - b2) * delta[o] * delta[o];
-      flush_subnormal(mb);
-      flush_subnormal(vb);
-      layer.bias[o] -= lr * (mb / bc1) / (std::sqrt(vb / bc2) + adam_.epsilon);
+    for (std::size_t o = 0; o < layer.out; ++o) {
+      const std::size_t row = o * layer.in;
+      adam_update(layer.weights.data() + row, layer.m_w.data() + row,
+                  layer.v_w.data() + row, a_in, delta[o], layer.in, s);
     }
+    adam_update(layer.bias.data(), layer.m_b.data(), layer.v_b.data(), delta,
+                1.0, layer.out, s);
+    // Propagate through the weights just updated.
     if (l > 0) {
-      delta = layer.weights.multiply_transposed(delta);
+      std::fill(next, next + layer.in, 0.0);
+      for (std::size_t o = 0; o < layer.out; ++o) {
+        const double* row = layer.weights.data() + o * layer.in;
+        const double d = delta[o];
+        for (std::size_t i = 0; i < layer.in; ++i) next[i] += row[i] * d;
+      }
+      std::swap(delta, next);
     }
   }
 }
@@ -125,27 +146,27 @@ void DenseNet::backward(const std::vector<double>& input,
 double DenseNet::train(const std::vector<double>& input,
                        const std::vector<double>& target) {
   TUNIO_CHECK_MSG(target.size() == output_size(), "target size mismatch");
-  const std::vector<double> out = forward_cached(input);
-  std::vector<double> error(out.size());
+  const std::vector<double>& out = forward(input);
+  const double n = static_cast<double>(out.size());
   double mse = 0.0;
   for (std::size_t i = 0; i < out.size(); ++i) {
     const double diff = out[i] - target[i];
-    error[i] = 2.0 * diff / static_cast<double>(out.size());
+    delta_[i] = 2.0 * diff / n;
     mse += diff * diff;
   }
-  mse /= static_cast<double>(out.size());
-  backward(input, error);
+  mse /= n;
+  backward(input);
   return mse;
 }
 
 double DenseNet::train_output(const std::vector<double>& input,
                               std::size_t output_index, double target) {
   TUNIO_CHECK_MSG(output_index < output_size(), "output index out of range");
-  const std::vector<double> out = forward_cached(input);
-  std::vector<double> error(out.size(), 0.0);
+  const std::vector<double>& out = forward(input);
+  std::fill(delta_.begin(), delta_.begin() + out.size(), 0.0);
   const double diff = out[output_index] - target;
-  error[output_index] = 2.0 * diff;
-  backward(input, error);
+  delta_[output_index] = 2.0 * diff;
+  backward(input);
   return diff * diff;
 }
 
@@ -166,9 +187,8 @@ void DenseNet::soft_update_from(const DenseNet& other, double tau) {
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     auto& mine = layers_[l];
     const auto& theirs = other.layers_[l];
-    for (std::size_t i = 0; i < mine.weights.data().size(); ++i) {
-      mine.weights.data()[i] = tau * theirs.weights.data()[i] +
-                               (1.0 - tau) * mine.weights.data()[i];
+    for (std::size_t i = 0; i < mine.weights.size(); ++i) {
+      mine.weights[i] = tau * theirs.weights[i] + (1.0 - tau) * mine.weights[i];
     }
     for (std::size_t i = 0; i < mine.bias.size(); ++i) {
       mine.bias[i] = tau * theirs.bias[i] + (1.0 - tau) * mine.bias[i];

@@ -5,13 +5,19 @@
 // of the last hidden activation (the Smart Configuration Generation
 // "state observation"), single-sample and mini-batch SGD/Adam training,
 // and soft parameter copies (target networks for Q-learning).
+//
+// The agents train these nets offline before every tuning job, one
+// sample at a time, so a training step allocates nothing: activations,
+// the output error and the back-propagated deltas live in buffers sized
+// once at construction. The same buffers make a net unsafe to use from
+// two threads at once, even through its const methods.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "nn/matrix.hpp"
 
 namespace tunio::nn {
 
@@ -31,12 +37,14 @@ class DenseNet {
   std::size_t input_size() const { return layer_sizes_.front(); }
   std::size_t output_size() const { return layer_sizes_.back(); }
 
-  /// Forward pass.
-  std::vector<double> forward(const std::vector<double>& input) const;
+  /// Forward pass. The result is a view of the net's output buffer: it
+  /// holds until the next call that runs this net (forward, train, ...).
+  const std::vector<double>& forward(const std::vector<double>& input) const;
 
   /// Forward pass that also returns the last hidden layer's activation
-  /// (the embedding used as RL "state observation").
-  std::vector<double> forward_with_embedding(
+  /// (the embedding used as RL "state observation"). Same view as
+  /// `forward`.
+  const std::vector<double>& forward_with_embedding(
       const std::vector<double>& input, std::vector<double>* embedding) const;
 
   /// One Adam step on a single (input, target) pair; returns the MSE.
@@ -64,8 +72,8 @@ class DenseNet {
   void visit_state(Visit&& visit) const {
     for (const Layer& layer : layers_) {
       for (const std::vector<double>* values :
-           {&layer.weights.data(), &layer.bias, &layer.m_w.data(),
-            &layer.v_w.data(), &layer.m_b, &layer.v_b}) {
+           {&layer.weights, &layer.bias, &layer.m_w, &layer.v_w, &layer.m_b,
+            &layer.v_b}) {
         for (double value : *values) visit(value);
       }
     }
@@ -73,25 +81,29 @@ class DenseNet {
 
  private:
   struct Layer {
-    Matrix weights;  ///< out × in
+    std::size_t in = 0;
+    std::size_t out = 0;
+    std::vector<double> weights;  ///< out × in, row-major
     std::vector<double> bias;
-    // Adam state
-    Matrix m_w, v_w;
+    // Adam state, shaped like the parameters.
+    std::vector<double> m_w, v_w;
     std::vector<double> m_b, v_b;
   };
 
-  /// Backprop for one sample given an output-error vector dL/dy.
-  void backward(const std::vector<double>& input,
-                const std::vector<double>& out_error);
+  /// Adam step for one sample, from the output error dL/dy in the first
+  /// `output_size()` entries of `delta_` and the activations of the last
+  /// `forward(input)`.
+  void backward(const std::vector<double>& input);
 
   std::vector<std::size_t> layer_sizes_;
   std::vector<Layer> layers_;
   AdamParams adam_;
   std::uint64_t step_ = 0;
 
-  // scratch from the last forward_cached call
+  // Scratch, sized at construction. activations_[l] is layer l's output;
+  // delta_ and delta_next_ hold a layer's error and the one it propagates.
   mutable std::vector<std::vector<double>> activations_;
-  std::vector<double> forward_cached(const std::vector<double>& input) const;
+  std::vector<double> delta_, delta_next_;
 };
 
 }  // namespace tunio::nn

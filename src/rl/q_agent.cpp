@@ -28,7 +28,7 @@ std::size_t QAgent::select(const std::vector<double>& state) {
 }
 
 std::size_t QAgent::best_action(const std::vector<double>& state) const {
-  const std::vector<double> q = net_.forward(state);
+  const std::vector<double>& q = net_.forward(state);
   return static_cast<std::size_t>(
       std::max_element(q.begin(), q.end()) - q.begin());
 }
@@ -69,15 +69,17 @@ void QAgent::mature_pending(bool flush) {
 void QAgent::learn(std::size_t steps) {
   if (replay_.empty()) return;
   for (std::size_t s = 0; s < steps; ++s) {
-    const auto batch = replay_.sample(options_.batch_size, rng_);
-    for (const Transition* t : batch) {
-      double target = t->reward;
-      if (!t->terminal) {
-        const std::vector<double> next_q = target_.forward(t->next_state);
+    // Training draws nothing from rng_, so sampling each transition just
+    // before it is used draws the same batch as sampling it up front.
+    for (std::size_t i = 0; i < options_.batch_size; ++i) {
+      const Transition& t = replay_.sample(rng_);
+      double target = t.reward;
+      if (!t.terminal) {
+        const std::vector<double>& next_q = target_.forward(t.next_state);
         target += options_.gamma *
                   *std::max_element(next_q.begin(), next_q.end());
       }
-      net_.train_output(t->state, t->action, target);
+      net_.train_output(t.state, t.action, target);
     }
     target_.soft_update_from(net_, options_.target_tau);
   }

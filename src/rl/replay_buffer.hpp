@@ -34,15 +34,10 @@ class ReplayBuffer {
   std::size_t size() const { return buffer_.size(); }
   bool empty() const { return buffer_.empty(); }
 
-  /// Uniform sample with replacement.
-  std::vector<const Transition*> sample(std::size_t n, Rng& rng) const {
+  /// One uniform draw; a batch is drawn with replacement by repeating it.
+  const Transition& sample(Rng& rng) const {
     TUNIO_CHECK_MSG(!buffer_.empty(), "sampling empty replay buffer");
-    std::vector<const Transition*> batch;
-    batch.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.push_back(&buffer_[rng.index(buffer_.size())]);
-    }
-    return batch;
+    return buffer_[rng.index(buffer_.size())];
   }
 
  private:

@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -88,6 +92,46 @@ TEST(Rng, ChoiceAndShuffle) {
   rng.shuffle(shuffled);
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, items);  // permutation preserves the multiset
+}
+
+TEST(Rng, NormalMatchesStdDistributionBitForBit) {
+  // Rng::normal once built a fresh std::normal_distribution per draw;
+  // scaling a standard draw must reproduce it exactly.
+  for (const double mean : {0.0, -3.5, 1e6}) {
+    for (const double stddev : {1e-300, 1e-3, 0.5, 1.0, 7.25, 1e6}) {
+      Rng rng(42);
+      std::mt19937_64 engine(42);
+      for (int i = 0; i < 10000; ++i) {
+        const double got = rng.normal(mean, stddev);
+        const double want =
+            std::normal_distribution<double>(mean, stddev)(engine);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "mean " << mean << ", stddev " << stddev << ", draw " << i;
+      }
+    }
+  }
+}
+
+TEST(Rng, NormalWithZeroStddevReturnsMean) {
+  Rng rng(5);
+  Rng twin(5);
+  for (const double mean : {0.0, 2.5, -1e9}) {
+    EXPECT_EQ(rng.normal(mean, 0.0), mean);
+    (void)twin.normal(mean, 1.0);
+  }
+  // A zero stddev consumes the same draws as any other, so the streams
+  // that follow do not shift.
+  EXPECT_EQ(rng.uniform(), twin.uniform());
+}
+
+TEST(Rng, NormalRejectsNegativeOrNonFiniteStddev) {
+  Rng rng(6);
+  EXPECT_THROW(rng.normal(0.0, -1.0), Error);
+  EXPECT_THROW(rng.normal(0.0, std::numeric_limits<double>::quiet_NaN()),
+               Error);
+  EXPECT_THROW(rng.normal(0.0, std::numeric_limits<double>::infinity()),
+               Error);
 }
 
 TEST(Rng, ForkIndependence) {
