@@ -141,8 +141,6 @@ int main(int argc, char** argv) {
   };
 
   section("static cost prediction (per seed workload)");
-  analysis::CostOptions copts;
-  copts.absint.mpi_ranks = analysis::Interval::constant(kRanks);
   int contained = 0;
   double total_solve_seconds = 0.0;
   for (const auto& [name, source] : seeds) {
@@ -151,7 +149,8 @@ int main(int argc, char** argv) {
     const auto start = Clock::now();
     analysis::ProgramCost cost;
     for (int round = 0; round < kSolveRounds; ++round) {
-      cost = analysis::predict_cost(program, copts);
+      cost = analysis::predict_cost(program,
+                                    analysis::Interval::constant(kRanks));
     }
     const double solve_us =
         seconds_since(start) / kSolveRounds * 1e6;

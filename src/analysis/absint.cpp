@@ -20,6 +20,18 @@ namespace {
 constexpr std::int64_t kMin = Interval::kMin;
 constexpr std::int64_t kMax = Interval::kMax;
 
+/// Loop-head visits before widening kicks in.
+constexpr int kWidenAfter = 3;
+/// Transfer budget per function context; exceeding it aborts the
+/// analysis (AnalysisLimit) rather than returning unsound state.
+constexpr int kMaxTransfers = 50000;
+/// Depth budget for the interprocedural call chain.
+constexpr int kMaxCallDepth = 16;
+/// Total memoized contexts across the program; once exceeded, further
+/// calls reuse an all-top/all-tainted context per function (sound but
+/// imprecise; sets `approximate()`).
+constexpr int kMaxContexts = 128;
+
 bool representable(__int128 v) {
   return v > static_cast<__int128>(kMin) && v < static_cast<__int128>(kMax);
 }
@@ -205,8 +217,8 @@ std::int64_t ceil_div_128(__int128 span, __int128 step) {
 }  // namespace
 
 AbstractInterpreter::AbstractInterpreter(const Program& program,
-                                         AbsintOptions options)
-    : program_(&program), options_(options), index_(program) {
+                                         Interval mpi_ranks)
+    : program_(&program), mpi_ranks_(mpi_ranks), index_(program) {
   for (const Function& fn : program.functions) {
     cfgs_.emplace(&fn, build_cfg(fn));
   }
@@ -240,7 +252,7 @@ AbsValue AbstractInterpreter::eval_at(const FunctionContext& ctx, int stmt_id,
   // Read-only mode (null solver) mutates nothing; see eval().
   auto* self = const_cast<AbstractInterpreter*>(this);
   return self->eval(expr, it->second, const_cast<FunctionContext*>(&ctx),
-                    nullptr, options_.max_call_depth);
+                    nullptr, kMaxCallDepth);
 }
 
 const FunctionContext* AbstractInterpreter::get_context(
@@ -250,9 +262,9 @@ const FunctionContext* AbstractInterpreter::get_context(
     throw AnalysisLimit("absint: recursion involving function '" + fn.name +
                         "'");
   }
-  if (depth >= options_.max_call_depth) {
+  if (depth >= kMaxCallDepth) {
     throw AnalysisLimit("absint: call depth limit (" +
-                        std::to_string(options_.max_call_depth) +
+                        std::to_string(kMaxCallDepth) +
                         ") exceeded at '" + fn.name + "'");
   }
 
@@ -268,7 +280,7 @@ const FunctionContext* AbstractInterpreter::get_context(
   const auto it = memo_.find(k);
   if (it != memo_.end()) return it->second;
 
-  if (static_cast<int>(contexts_.size()) >= options_.max_contexts) {
+  if (static_cast<int>(contexts_.size()) >= kMaxContexts) {
     // Context budget exhausted: fall back to one all-top, all-tainted
     // context per function — a superset of every possible call, so the
     // results stay sound while precision degrades.
@@ -374,7 +386,7 @@ AbsValue AbstractInterpreter::eval_call(const Expr& call, const AbsEnv& env,
   if (name.rfind("tuned_", 0) == 0) return AbsValue::top_tainted();
   if (name == "mpi_size") {
     AbsValue v;
-    v.range = options_.mpi_ranks;
+    v.range = mpi_ranks_;
     return v;
   }
   if (name == "min" || name == "max") {
@@ -718,7 +730,7 @@ void AbstractInterpreter::solve(FunctionContext& ctx, int depth) {
   while (true) {
     while (!solver.worklist.empty()) {
       const int node = solver.pop();
-      if (++ctx.transfers > options_.max_transfers) {
+      if (++ctx.transfers > kMaxTransfers) {
         throw AnalysisLimit("absint: transfer budget exceeded in '" +
                             ctx.function->name + "'");
       }
@@ -735,7 +747,7 @@ void AbstractInterpreter::solve(FunctionContext& ctx, int depth) {
         }
         AbsEnv joined = join_envs(target.in, out);
         if (is_loop(cfg.stmt_of(succ)) &&
-            target.visits >= options_.widen_after) {
+            target.visits >= kWidenAfter) {
           joined = widen_envs(target.in, joined);
         }
         if (joined != target.in) {

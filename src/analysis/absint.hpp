@@ -143,22 +143,8 @@ struct AbsValue {
 /// comparison and iteration are deterministic.
 using AbsEnv = std::map<std::string, AbsValue>;
 
-struct AbsintOptions {
-  /// Abstract result of `mpi_size()`. Narrow this to a constant when the
-  /// rank count is known (the differential tests do) for exact volumes.
-  Interval mpi_ranks = Interval::range(1, 1 << 22);
-  /// Loop-head visits before widening kicks in.
-  int widen_after = 3;
-  /// Transfer budget per function context; exceeding it aborts the
-  /// analysis (AnalysisLimit) rather than returning unsound state.
-  int max_transfers = 50000;
-  /// Depth budget for the interprocedural call chain.
-  int max_call_depth = 16;
-  /// Total memoized contexts across the program; once exceeded, further
-  /// calls reuse an all-top/all-tainted context per function (sound but
-  /// imprecise; sets `approximate()`).
-  int max_contexts = 128;
-};
+/// Default abstract result of `mpi_size()`: any rank count.
+inline constexpr Interval kAnyMpiRanks{1, 1 << 22};
 
 /// One analyzed (function, abstract arguments, caller control-taint)
 /// instance with its post-fixpoint facts.
@@ -199,8 +185,11 @@ class AnalysisLimit : public Error {
 
 class AbstractInterpreter {
  public:
+  /// `mpi_ranks` is the abstract result of `mpi_size()`. Narrow it to a
+  /// constant when the rank count is known (the differential tests do)
+  /// for exact volumes.
   explicit AbstractInterpreter(const minic::Program& program,
-                               AbsintOptions options = {});
+                               Interval mpi_ranks = kAnyMpiRanks);
 
   /// Analyzes `main` (and, transitively, everything it calls). Throws
   /// AnalysisLimit on budget exhaustion or recursion and common::Error
@@ -208,7 +197,7 @@ class AbstractInterpreter {
   const FunctionContext& analyze_main();
 
   const ProgramIndex& index() const { return index_; }
-  const AbsintOptions& options() const { return options_; }
+  const Interval& mpi_ranks() const { return mpi_ranks_; }
 
   /// Element-size interval recorded at each h5dcreate call site (join
   /// over every abstract evaluation that reached it).
@@ -255,7 +244,7 @@ class AbstractInterpreter {
                       const minic::Stmt& loop, int depth);
 
   const minic::Program* program_;
-  AbsintOptions options_;
+  Interval mpi_ranks_;
   ProgramIndex index_;
   std::map<const minic::Function*, FunctionCfg> cfgs_;
 

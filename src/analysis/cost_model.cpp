@@ -293,7 +293,7 @@ class CostWalker {
           const Interval per =
               absint_.eval_at(ctx, stmt.id, *call.children[1]).range;
           payload = count_mul(per, absint_.elem_size_of(handle));
-          rank_mult = absint_.options().mpi_ranks;
+          rank_mult = absint_.mpi_ranks();
         }
         break;
       case OpClass::kStridedWrite:
@@ -304,7 +304,7 @@ class CostWalker {
           const Interval elems =
               absint_.eval_at(ctx, stmt.id, *call.children[2]).range;
           payload = count_mul(elems, absint_.elem_size_of(handle));
-          rank_mult = absint_.options().mpi_ranks;
+          rank_mult = absint_.mpi_ranks();
         }
         break;
       case OpClass::kLogWrite:
@@ -333,10 +333,10 @@ class CostWalker {
 
 }  // namespace
 
-ProgramCost predict_cost(const Program& program, const CostOptions& options) {
+ProgramCost predict_cost(const Program& program, Interval mpi_ranks) {
   ProgramCost out;
   try {
-    AbstractInterpreter absint(program, options.absint);
+    AbstractInterpreter absint(program, mpi_ranks);
     const FunctionContext& main = absint.analyze_main();
     CostWalker walker(absint);
     walker.run(main);
@@ -382,9 +382,6 @@ std::vector<std::pair<std::string, double>> static_impact(
 
   if (!cost.analyzable) return {};
 
-  constexpr std::int64_t kSmallBytes = 64 * 1024;
-  constexpr std::int64_t kLargeBytes = 4 * 1024 * 1024;
-
   bool large_contiguous = false;
   bool strided_loops = false;
   bool small_writes = false;
@@ -396,14 +393,14 @@ std::vector<std::pair<std::string, double>> static_impact(
                       site.callee == "h5dread_all";
     const bool strided = site.callee == "h5dwrite_strided" ||
                          site.callee == "h5dread_strided";
-    if (bulk && site.payload_per_call.lo >= kLargeBytes) {
+    if (bulk && site.payload_per_call.lo >= kLargeAccessBytes) {
       large_contiguous = true;
     }
     if (strided && site.in_loop) strided_loops = true;
     if (site.kind == SiteKind::kWrite && site.in_loop &&
         site.payload_per_call.bounded_above() &&
         site.payload_per_call.hi > 0 &&
-        site.payload_per_call.hi < kSmallBytes) {
+        site.payload_per_call.hi < kSmallWriteBytes) {
       small_writes = true;
     }
   }

@@ -22,6 +22,7 @@
 // tainted value reaches the call's arguments or its control flow.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,15 @@
 #include "minic/ast.hpp"
 
 namespace tunio::analysis {
+
+// Request-size thresholds shared by the linter's diagnostics and the
+// static-impact pre-ranking.
+/// Writes below this estimated byte size count as "small".
+inline constexpr std::int64_t kSmallWriteBytes = 64 * 1024;
+/// Alignment boundary for stripe checks (the smallest striping_unit).
+inline constexpr std::int64_t kStripeAlignment = 64 * 1024;
+/// Contiguous transfers at or above this size are "large".
+inline constexpr std::int64_t kLargeAccessBytes = 4 * 1024 * 1024;
 
 enum class SiteKind { kWrite, kRead, kMeta, kCompute, kBarrier };
 
@@ -59,7 +69,7 @@ struct SiteCost {
 
 /// Whole-program prediction. All intervals are sound over-approximations
 /// of what replay::app_io_counts measures on any interpreted run with a
-/// rank count inside `CostOptions::absint.mpi_ranks`.
+/// rank count inside the `mpi_ranks` passed to `predict_cost`.
 struct ProgramCost {
   std::vector<SiteCost> sites;
   Interval write_ops = Interval::constant(0);
@@ -86,15 +96,12 @@ struct ProgramCost {
   bool bounded() const;
 };
 
-struct CostOptions {
-  AbsintOptions absint;
-};
-
-/// Runs the abstract interpreter and folds its facts into per-site and
-/// per-program cost intervals. Never throws: failures are reported
-/// through `ProgramCost::analyzable` / `failure`.
+/// Runs the abstract interpreter (`mpi_size()` ranges over `mpi_ranks`)
+/// and folds its facts into per-site and per-program cost intervals.
+/// Never throws: failures are reported through
+/// `ProgramCost::analyzable` / `failure`.
 ProgramCost predict_cost(const minic::Program& program,
-                         const CostOptions& options = {});
+                         Interval mpi_ranks = kAnyMpiRanks);
 
 /// Static impact pre-ranking: config-space parameter weights in (0, 1]
 /// derived from the predicted workload shape (large contiguous transfers

@@ -104,6 +104,14 @@ std::vector<std::pair<std::string, double>> LintReport::tuning_hints() const {
 
 namespace {
 
+/// `v` as int64, or nullopt when it does not fit. Folding computes in
+/// __int128 and treats a result outside int64 as "not a constant", as
+/// the abs_* operations treat it as top.
+std::optional<std::int64_t> fit(__int128 v) {
+  if (v < Interval::kMin || v > Interval::kMax) return std::nullopt;
+  return static_cast<std::int64_t>(v);
+}
+
 /// Per-function dataflow bundle the passes share.
 struct FunctionAnalysis {
   const Function* function = nullptr;
@@ -114,8 +122,8 @@ struct FunctionAnalysis {
 
 class Linter {
  public:
-  Linter(const Program& program, const LintOptions& options)
-      : program_(program), options_(options), index_(program) {
+  explicit Linter(const Program& program)
+      : program_(program), index_(program) {
     for (const Function& fn : program.functions) {
       FunctionAnalysis fa;
       fa.function = &fn;
@@ -152,7 +160,8 @@ class Linter {
   // --- constant folding through reaching definitions ---------------------
 
   /// Folds `expr` (evaluated at CFG node `node` of `fa`) to a constant,
-  /// resolving variables through their unique reaching definition.
+  /// resolving variables through their unique reaching definition. A
+  /// result outside int64 (including INT64_MIN / -1) is not a constant.
   std::optional<std::int64_t> fold(const FunctionAnalysis& fa, int node,
                                    const Expr& expr,
                                    std::set<int>* visited) const {
@@ -162,17 +171,19 @@ class Linter {
       case ExprKind::kUnary: {
         if (expr.text != "-") return std::nullopt;
         auto v = fold(fa, node, *expr.children[0], visited);
-        return v ? std::optional<std::int64_t>(-*v) : std::nullopt;
+        return v ? fit(-static_cast<__int128>(*v)) : std::nullopt;
       }
       case ExprKind::kBinary: {
         auto a = fold(fa, node, *expr.children[0], visited);
         auto b = fold(fa, node, *expr.children[1], visited);
         if (!a || !b) return std::nullopt;
-        if (expr.text == "+") return *a + *b;
-        if (expr.text == "-") return *a - *b;
-        if (expr.text == "*") return *a * *b;
-        if (expr.text == "/" && *b != 0) return *a / *b;
-        if (expr.text == "%" && *b != 0) return *a % *b;
+        const __int128 x = *a;
+        const __int128 y = *b;
+        if (expr.text == "+") return fit(x + y);
+        if (expr.text == "-") return fit(x - y);
+        if (expr.text == "*") return fit(x * y);
+        if (expr.text == "/" && y != 0) return fit(x / y);
+        if (expr.text == "%" && y != 0) return fit(x % y);
         return std::nullopt;
       }
       case ExprKind::kVar: {
@@ -314,8 +325,7 @@ class Linter {
 
       if (name == "fprintf_log" && e.children.size() == 2) {
         const auto bytes = fold_at(fa, id, *e.children[1]);
-        if (looped && bytes && *bytes > 0 &&
-            static_cast<std::uint64_t>(*bytes) < options_.small_write_bytes) {
+        if (looped && bytes && *bytes > 0 && *bytes < kSmallWriteBytes) {
           emit(LintKind::kSmallWritesInLoop, Severity::kWarning, e, rec,
                "log write of " + bytes_str(*bytes) +
                    " inside a loop; per-request overhead dominates at this "
@@ -340,21 +350,25 @@ class Linter {
       if (strided && e.children.size() == 3) {
         const auto elems = fold_at(fa, id, *e.children[2]);
         const auto elem_size = elem_size_of(fa, id, *e.children[0]);
-        if (elems && elem_size) bytes = *elems * *elem_size;
+        if (elems && elem_size) bytes = fit(__int128{*elems} * *elem_size);
       } else if (bulk && e.children.size() == 2) {
         const auto per_rank = fold_at(fa, id, *e.children[1]);
         const auto elem_size = elem_size_of(fa, id, *e.children[0]);
-        if (per_rank && elem_size) bytes = *per_rank * *elem_size;
+        if (per_rank && elem_size) {
+          bytes = fit(__int128{*per_rank} * *elem_size);
+        }
       }
 
       // Interval fallback: where def-use folding fails (joined handles,
       // interprocedural values), the abstract interpreter's per-site
       // payload may still pin the size exactly — or bound it tightly
-      // enough for a definite verdict (see check_payload_bounds).
+      // enough for a definite verdict (see check_payload_bounds). A
+      // payload saturated at the int64 maximum is unbounded, not a size.
       Interval payload = Interval::constant(0);
       if (const SiteCost* site = site_of(e)) {
         payload = site->payload_per_call;
-        if (!bytes && payload.is_constant() && payload.lo > 0) {
+        if (!bytes && payload.is_constant() && payload.lo > 0 &&
+            payload.bounded_above()) {
           bytes = payload.lo;
         }
       }
@@ -371,23 +385,22 @@ class Linter {
              {"romio_collective", "cb_nodes", "cb_buffer_size"});
       }
       if (bytes && *bytes > 0) {
-        const auto ubytes = static_cast<std::uint64_t>(*bytes);
-        if (strided && ubytes % options_.stripe_alignment != 0) {
+        if (strided && *bytes % kStripeAlignment != 0) {
           emit(LintKind::kStripeUnalignedAccess, Severity::kWarning, e, rec,
                "strided block of " + bytes_str(*bytes) +
                    " is not a multiple of the " +
-                   std::to_string(options_.stripe_alignment) +
+                   std::to_string(kStripeAlignment) +
                    "-byte stripe unit; accesses straddle OST boundaries",
                {"alignment", "striping_unit", "chunk_cache"});
         }
-        if (looped && is_write && ubytes < options_.small_write_bytes) {
+        if (looped && is_write && *bytes < kSmallWriteBytes) {
           emit(LintKind::kSmallWritesInLoop, Severity::kWarning, e, rec,
                "write of " + bytes_str(*bytes) +
                    " inside a loop; per-request overhead dominates at this "
                    "size — aggregate or buffer",
                {"cb_buffer_size", "sieve_buf_size", "striping_unit"});
         }
-        if (bulk && ubytes >= options_.large_access_bytes) {
+        if (bulk && *bytes >= kLargeAccessBytes) {
           emit(LintKind::kContiguousLargeAccess, Severity::kInfo, e, rec,
                "contiguous " + std::string(is_write ? "write" : "read") +
                    " of " + bytes_str(*bytes) +
@@ -413,16 +426,14 @@ class Linter {
                             const Interval& payload, bool looped,
                             bool is_write, bool bulk) {
     if (looped && is_write && payload.hi > 0 && payload.bounded_above() &&
-        static_cast<std::uint64_t>(payload.hi) < options_.small_write_bytes) {
+        payload.hi < kSmallWriteBytes) {
       emit(LintKind::kSmallWritesInLoop, Severity::kWarning, e, rec,
            "write of at most " + bytes_str(payload.hi) +
                " inside a loop; per-request overhead dominates at this "
                "size — aggregate or buffer",
            {"cb_buffer_size", "sieve_buf_size", "striping_unit"});
     }
-    if (bulk && payload.lo > 0 &&
-        static_cast<std::uint64_t>(payload.lo) >=
-            options_.large_access_bytes) {
+    if (bulk && payload.lo >= kLargeAccessBytes) {
       emit(LintKind::kContiguousLargeAccess, Severity::kInfo, e, rec,
            "contiguous " + std::string(is_write ? "write" : "read") +
                " of at least " + bytes_str(payload.lo) +
@@ -480,14 +491,14 @@ class Linter {
         }
       });
       if (!elem_size) continue;
-      const std::int64_t chunk_bytes = *elems * *elem_size;
-      if (chunk_bytes > 0 && static_cast<std::uint64_t>(chunk_bytes) %
-                                     options_.stripe_alignment !=
-                                 0) {
+      // An overflowing size is unknown: 0 skips the check.
+      const std::int64_t chunk_bytes =
+          fit(__int128{*elems} * *elem_size).value_or(0);
+      if (chunk_bytes > 0 && chunk_bytes % kStripeAlignment != 0) {
         emit(LintKind::kStripeUnalignedAccess, Severity::kWarning, call, rec,
              "chunk of " + bytes_str(chunk_bytes) +
                  " is not a multiple of the " +
-                 std::to_string(options_.stripe_alignment) +
+                 std::to_string(kStripeAlignment) +
                  "-byte stripe unit; chunked accesses straddle OST "
                  "boundaries",
              {"alignment", "striping_unit", "chunk_cache"});
@@ -523,7 +534,6 @@ class Linter {
   }
 
   const Program& program_;
-  const LintOptions& options_;
   ProgramIndex index_;
   std::unordered_map<const Function*, FunctionAnalysis> analyses_;
   std::set<const Function*> loop_resident_;
@@ -533,13 +543,11 @@ class Linter {
 
 }  // namespace
 
-LintReport lint(const Program& program, const LintOptions& options) {
-  return Linter(program, options).run();
-}
+LintReport lint(const Program& program) { return Linter(program).run(); }
 
-LintReport lint_source(const std::string& source, const LintOptions& options) {
+LintReport lint_source(const std::string& source) {
   const Program program = minic::parse(source);
-  LintReport report = lint(program, options);
+  LintReport report = lint(program);
   // The parsed AST dies with this scope: drop the per-site Expr pointers
   // so the report cannot dangle (line/col/callee/intervals remain).
   for (SiteCost& site : report.cost.sites) site.site = nullptr;

@@ -83,17 +83,6 @@ struct Diagnostic {
 /// `<function>:<line>:<col>: <severity>: <kind>: <message> [hints: ...]`.
 std::string format(const Diagnostic& diagnostic);
 
-struct LintOptions {
-  /// Call-name prefixes treated as I/O (matches DiscoveryOptions).
-  std::vector<std::string> io_prefixes = {"h5"};
-  /// Writes below this estimated byte size count as "small".
-  std::uint64_t small_write_bytes = 64 * 1024;
-  /// Alignment boundary for stripe checks (the smallest striping_unit).
-  std::uint64_t stripe_alignment = 64 * 1024;
-  /// Contiguous transfers at or above this size are "large".
-  std::uint64_t large_access_bytes = 4 * 1024 * 1024;
-};
-
 struct LintReport {
   std::vector<Diagnostic> diagnostics;
   /// Static I/O cost prediction of the linted program (op counts and
@@ -112,11 +101,12 @@ struct LintReport {
   std::vector<std::pair<std::string, double>> tuning_hints() const;
 };
 
-LintReport lint(const minic::Program& program, const LintOptions& options = {});
+/// Request sizes are judged against the thresholds in cost_model.hpp
+/// (`kSmallWriteBytes`, `kStripeAlignment`, `kLargeAccessBytes`).
+LintReport lint(const minic::Program& program);
 
 /// Convenience: parse + lint (lines/columns refer to `source` itself —
 /// no normalization round-trip, so locations are the real ones).
-LintReport lint_source(const std::string& source,
-                       const LintOptions& options = {});
+LintReport lint_source(const std::string& source);
 
 }  // namespace tunio::analysis

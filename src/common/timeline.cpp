@@ -14,14 +14,12 @@ ResourceTimeline::Grant ResourceTimeline::acquire(SimSeconds earliest_start,
   grant.end = grant.begin + duration;
   next_free_ = grant.end;
   busy_time_ += duration;
-  ++grants_;
   return grant;
 }
 
 void ResourceTimeline::reset() {
   next_free_ = 0.0;
   busy_time_ = 0.0;
-  grants_ = 0;
 }
 
 SharedChannel::SharedChannel(Bps aggregate_bandwidth,

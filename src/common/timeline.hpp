@@ -43,16 +43,12 @@ class ResourceTimeline {
   /// Total busy seconds granted so far (for utilization reports).
   SimSeconds busy_time() const { return busy_time_; }
 
-  /// Number of grants issued.
-  std::uint64_t grants() const { return grants_; }
-
   /// Forgets all scheduled work (fresh run on the same topology).
   void reset();
 
  private:
   SimSeconds next_free_ = 0.0;
   SimSeconds busy_time_ = 0.0;
-  std::uint64_t grants_ = 0;
 };
 
 /// A bandwidth-shared channel with per-message latency.

@@ -7,8 +7,16 @@
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "rl/log_curve_env.hpp"
 
 namespace tunio::core {
+
+namespace {
+
+constexpr double kStagnationThreshold = 0.05;  ///< 5% average-reward increase
+constexpr unsigned kStagnationWindow = 5;      ///< across five epochs
+
+}  // namespace
 
 EarlyStopping::EarlyStopping(EarlyStoppingOptions options)
     : options_(options),
@@ -21,17 +29,17 @@ EarlyStopping::EarlyStopping(EarlyStoppingOptions options)
         q.epsilon_decay = 0.9995;  // keep exploring across offline epochs
         q.reward_delay = 5;  // the paper's 5-iteration delay
         return q;
-      }()) {
-  options_.curve_params.max_iterations = options_.max_iterations;
-}
+      }()) {}
 
 std::vector<double> EarlyStopping::train_offline() {
+  rl::LogCurveParams curve_params;
+  curve_params.max_iterations = options_.max_iterations;
   std::vector<double> epoch_rewards;
   for (unsigned epoch = 0; epoch < options_.max_epochs; ++epoch) {
     double reward_sum = 0.0;
     for (unsigned episode = 0; episode < options_.episodes_per_epoch;
          ++episode) {
-      rl::LogCurveEpisode curve(options_.curve_params, rng_);
+      rl::LogCurveEpisode curve(curve_params, rng_);
       std::vector<double> best_history;
       double prev_return = 0.0;
       double episode_reward = 0.0;
@@ -66,11 +74,11 @@ std::vector<double> EarlyStopping::train_offline() {
 
     // Stagnation check: "5% or less increase across five iterations".
     if (epoch + 1 >= options_.min_epochs &&
-        epoch_rewards.size() > options_.stagnation_window) {
+        epoch_rewards.size() > kStagnationWindow) {
       const double now = epoch_rewards.back();
       const double then =
-          epoch_rewards[epoch_rewards.size() - 1 - options_.stagnation_window];
-      if (then > 0.0 && (now - then) / then <= options_.stagnation_threshold) {
+          epoch_rewards[epoch_rewards.size() - 1 - kStagnationWindow];
+      if (then > 0.0 && (now - then) / then <= kStagnationThreshold) {
         break;
       }
     }

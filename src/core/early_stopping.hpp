@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "rl/log_curve_env.hpp"
 #include "rl/q_agent.hpp"
 
 namespace tunio::core {
@@ -43,9 +42,6 @@ struct EarlyStoppingOptions {
   unsigned episodes_per_epoch = 64;
   unsigned max_epochs = 120;
   unsigned min_epochs = 40;            ///< learn before judging stagnation
-  double stagnation_threshold = 0.05;  ///< 5% average-reward increase
-  unsigned stagnation_window = 5;      ///< across five epochs
-  rl::LogCurveParams curve_params;
   std::uint64_t seed = 0xE5'701;
 };
 

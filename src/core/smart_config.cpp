@@ -11,14 +11,21 @@
 
 namespace tunio::core {
 
-SmartConfigGen::SmartConfigGen(const cfg::ConfigSpace& space,
-                               SmartConfigOptions options)
+namespace {
+
+constexpr double kPerfNormalizerMbps = 40'000.0;  ///< BW_single x num_nodes
+constexpr std::size_t kEmbeddingDim = 8;
+/// Sweep granularity: at most this many values probed per parameter.
+constexpr unsigned kSweepValuesPerParam = 5;
+constexpr std::uint64_t kSeed = 0x5C9'001;
+
+}  // namespace
+
+SmartConfigGen::SmartConfigGen(const cfg::ConfigSpace& space)
     : space_(space),
-      options_(options),
-      rng_(options.seed),
-      observer_(space.num_parameters() + 2, options.embedding_dim,
-                rng_.fork()),
-      picker_(options.embedding_dim, space.num_parameters(), rng_.fork(),
+      rng_(kSeed),
+      observer_(space.num_parameters() + 2, kEmbeddingDim, rng_.fork()),
+      picker_(kEmbeddingDim, space.num_parameters(), rng_.fork(),
               [] {
                 rl::QAgentOptions q;
                 q.hidden = 24;
@@ -104,10 +111,9 @@ std::vector<std::vector<SweepSample>> SmartConfigGen::train_offline(
 
     for (std::size_t p = 0; p < dim; ++p) {
       const auto& domain = space_.parameter(p).domain;
-      // Probe at most sweep_values_per_param values, spread evenly.
+      // Probe at most kSweepValuesPerParam values, spread evenly.
       const unsigned probes = std::min<unsigned>(
-          options_.sweep_values_per_param,
-          static_cast<unsigned>(domain.size()));
+          kSweepValuesPerParam, static_cast<unsigned>(domain.size()));
       double lo = base_perf, hi = base_perf;
       for (unsigned k = 0; k < probes; ++k) {
         const std::size_t index =
@@ -129,7 +135,7 @@ std::vector<std::vector<SweepSample>> SmartConfigGen::train_offline(
                              static_cast<double>(dj.size() - 1)
                        : 0.0;
         }
-        const double norm_perf = perf / options_.perf_normalizer_mbps;
+        const double norm_perf = perf / kPerfNormalizerMbps;
         row[dim] = norm_perf;
         pca_rows.push_back(std::move(row));
 
@@ -197,7 +203,7 @@ std::vector<std::vector<SweepSample>> SmartConfigGen::train_offline(
 
 std::vector<std::size_t> SmartConfigGen::subset_picker(
     double perf_mbps, const std::vector<std::size_t>& current_subset) {
-  const double norm_perf = perf_mbps / options_.perf_normalizer_mbps;
+  const double norm_perf = perf_mbps / kPerfNormalizerMbps;
   const double gain =
       has_last_ && last_norm_perf_ > 0.0
           ? std::clamp((norm_perf - last_norm_perf_) / last_norm_perf_, -1.0,

@@ -34,14 +34,6 @@
 
 namespace tunio::core {
 
-struct SmartConfigOptions {
-  double perf_normalizer_mbps = 40'000.0;  ///< BW_single x num_nodes
-  std::size_t embedding_dim = 8;
-  /// Sweep granularity: at most this many values probed per parameter.
-  unsigned sweep_values_per_param = 5;
-  std::uint64_t seed = 0x5C9'001;
-};
-
 struct SweepSample {
   std::size_t parameter;    ///< which parameter was swept
   std::size_t domain_index; ///< which value it took
@@ -50,8 +42,7 @@ struct SweepSample {
 
 class SmartConfigGen {
  public:
-  SmartConfigGen(const cfg::ConfigSpace& space,
-                 SmartConfigOptions options = {});
+  explicit SmartConfigGen(const cfg::ConfigSpace& space);
 
   /// Offline training: parameter sweeps on representative kernels plus
   /// PCA; returns the collected sweep samples (one vector per kernel).
@@ -98,7 +89,6 @@ class SmartConfigGen {
   void boost_impact();
 
   const cfg::ConfigSpace& space_;
-  SmartConfigOptions options_;
   Rng rng_;
   rl::StateObserver observer_;
   rl::QAgent picker_;

@@ -2,15 +2,12 @@
 
 namespace tunio::core {
 
-TunIO::TunIO(const cfg::ConfigSpace& space, TunioOptions options)
-    : space_(space),
-      options_(options),
-      smart_config_(space, options.smart_config),
-      early_stopping_(options.early_stopping) {}
+TunIO::TunIO(const cfg::ConfigSpace& space)
+    : space_(space), smart_config_(space) {}
 
 discovery::KernelResult TunIO::discover_io(
     const std::string& source_code) const {
-  return discovery::discover_io(source_code, options_.discovery);
+  return discovery::discover_io(source_code);
 }
 
 discovery::KernelResult TunIO::discover_io(
@@ -21,9 +18,7 @@ discovery::KernelResult TunIO::discover_io(
 
 analysis::LintReport TunIO::lint_source(
     const std::string& source_code) const {
-  analysis::LintOptions lint_options;
-  lint_options.io_prefixes = options_.discovery.io_prefixes;
-  return analysis::lint_source(source_code, lint_options);
+  return analysis::lint_source(source_code);
 }
 
 void TunIO::train_offline(

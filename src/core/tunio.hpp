@@ -25,17 +25,12 @@
 
 namespace tunio::core {
 
-struct TunioOptions {
-  SmartConfigOptions smart_config;
-  EarlyStoppingOptions early_stopping;
-  discovery::DiscoveryOptions discovery;
-};
-
 class TunIO {
  public:
-  explicit TunIO(const cfg::ConfigSpace& space, TunioOptions options = {});
+  explicit TunIO(const cfg::ConfigSpace& space);
 
-  /// Table I `discover_io`: source code + options → I/O kernel.
+  /// Table I `discover_io`: source code + options → I/O kernel. The
+  /// one-argument form uses the default `DiscoveryOptions`.
   discovery::KernelResult discover_io(const std::string& source_code) const;
   discovery::KernelResult discover_io(
       const std::string& source_code,
@@ -52,10 +47,9 @@ class TunIO {
     return early_stopping_.stop(current_iteration, best_perf_mbps);
   }
 
-  /// Lints `source_code` for I/O anti-patterns. Parses the source
-  /// directly (no normalization round-trip), so diagnostic line/column
-  /// numbers refer to the original text. Uses the discovery options'
-  /// I/O prefixes.
+  /// Lints `source_code` for I/O anti-patterns (`analysis::lint_source`).
+  /// Parses the source directly (no normalization round-trip), so
+  /// diagnostic line/column numbers refer to the original text.
   analysis::LintReport lint_source(const std::string& source_code) const;
 
   /// Seeds Smart Configuration Generation with a lint report's tuning
@@ -81,7 +75,6 @@ class TunIO {
 
  private:
   const cfg::ConfigSpace& space_;
-  TunioOptions options_;
   SmartConfigGen smart_config_;
   EarlyStopping early_stopping_;
 };

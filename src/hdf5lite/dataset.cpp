@@ -106,7 +106,6 @@ void Dataset::issue_reads(const std::vector<ByteExtent>& extents,
 void Dataset::write(const std::vector<Selection>& selections,
                     const TransferProps& dxpl) {
   TUNIO_CHECK_MSG(!closed_, "write on closed dataset: " + name_);
-  last_dxpl_collective_ = dxpl.collective;
   for (const Selection& sel : selections) {
     TUNIO_CHECK_MSG(sel.start_element + sel.count <= num_elements_,
                     "selection out of bounds in " + name_);

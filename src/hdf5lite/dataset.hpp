@@ -132,7 +132,6 @@ class Dataset {
   FlatMap<std::uint64_t, Bytes> chunk_offsets_;
   std::unique_ptr<ChunkCache> cache_;
   std::map<unsigned, SieveWindow> sieves_;  ///< per-rank sieve windows
-  bool last_dxpl_collective_ = false;
   bool closed_ = false;
   DatasetStats stats_;
 };

@@ -51,6 +51,11 @@ const std::string& as_string(const Value& v, int line) {
   fail(line, "expected a string value");
 }
 
+// Mini-C integers are two's-complement int64 (see analysis/absint.hpp):
+// + - * and negation wrap, computed in uint64 where wrapping is defined.
+std::uint64_t bits(std::int64_t v) { return static_cast<std::uint64_t>(v); }
+std::int64_t wrap(std::uint64_t v) { return static_cast<std::int64_t>(v); }
+
 bool truthy(const Value& v, int line) {
   if (const auto* i = std::get_if<std::int64_t>(&v)) return *i != 0;
   if (const auto* d = std::get_if<double>(&v)) return *d != 0.0;
@@ -217,7 +222,7 @@ class Interpreter {
         if (std::holds_alternative<double>(operand)) {
           return -std::get<double>(operand);
         }
-        return -as_int(operand, expr.line);
+        return wrap(0 - bits(as_int(operand, expr.line)));
       }
       case ExprKind::kBinary:
         return eval_binary(expr);
@@ -275,16 +280,18 @@ class Interpreter {
     } else {
       const std::int64_t a = as_int(lhs, expr.line);
       const std::int64_t b = as_int(rhs, expr.line);
-      if (op == "+") return a + b;
-      if (op == "-") return a - b;
-      if (op == "*") return a * b;
+      if (op == "+") return wrap(bits(a) + bits(b));
+      if (op == "-") return wrap(bits(a) - bits(b));
+      if (op == "*") return wrap(bits(a) * bits(b));
+      // Dividing by -1 is a wrapping negation: INT64_MIN / -1 ==
+      // INT64_MIN and INT64_MIN % -1 == 0 (the hardware ops trap).
       if (op == "/") {
         if (b == 0) fail(expr.line, "division by zero");
-        return a / b;
+        return b == -1 ? wrap(0 - bits(a)) : a / b;
       }
       if (op == "%") {
         if (b == 0) fail(expr.line, "modulo by zero");
-        return a % b;
+        return b == -1 ? 0 : a % b;
       }
       if (op == "<") return static_cast<std::int64_t>(a < b);
       if (op == "<=") return static_cast<std::int64_t>(a <= b);

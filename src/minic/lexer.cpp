@@ -1,6 +1,9 @@
 #include "minic/lexer.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -62,6 +65,11 @@ const std::unordered_map<std::string, TokenKind>& keywords() {
 [[noreturn]] void fail(int line, const std::string& message) {
   throw SourceError("minic lex error at line " + std::to_string(line) + ": " +
                     message);
+}
+
+[[noreturn]] void fail_at(int line, int column, const std::string& message) {
+  throw SourceError("minic lex error at line " + std::to_string(line) +
+                    ", column " + std::to_string(column) + ": " + message);
 }
 
 }  // namespace
@@ -131,13 +139,12 @@ std::vector<Token> lex(const std::string& source) {
       i = j;
       continue;
     }
-    // Numbers.
+    // Numbers: digits with at most one '.'. Letters, '_' or a second '.'
+    // glued on make the whole run one malformed literal.
     if (std::isdigit(static_cast<unsigned char>(c))) {
       std::size_t j = i;
-      bool is_float = false;
-      while (j < n && (std::isdigit(static_cast<unsigned char>(source[j])) ||
-                       source[j] == '.')) {
-        if (source[j] == '.') is_float = true;
+      while (j < n && (std::isalnum(static_cast<unsigned char>(source[j])) ||
+                       source[j] == '_' || source[j] == '.')) {
         ++j;
       }
       const std::string num = source.substr(i, j - i);
@@ -145,12 +152,23 @@ std::vector<Token> lex(const std::string& source) {
       t.line = line;
       t.column = static_cast<int>(i - line_start) + 1;
       t.text = num;
-      if (is_float) {
-        t.kind = TokenKind::kFloatLiteral;
-        t.float_value = std::stod(num);
-      } else {
-        t.kind = TokenKind::kIntLiteral;
-        t.int_value = std::stoll(num);
+      const auto dots = std::count(num.begin(), num.end(), '.');
+      const bool digits_only = std::all_of(num.begin(), num.end(), [](char d) {
+        return d == '.' || std::isdigit(static_cast<unsigned char>(d));
+      });
+      if (!digits_only || dots > 1) {
+        fail_at(line, t.column, "malformed number literal '" + num + "'");
+      }
+      try {
+        if (dots == 1) {
+          t.kind = TokenKind::kFloatLiteral;
+          t.float_value = std::stod(num);
+        } else {
+          t.kind = TokenKind::kIntLiteral;
+          t.int_value = std::stoll(num);
+        }
+      } catch (const std::out_of_range&) {
+        fail_at(line, t.column, "number literal '" + num + "' out of range");
       }
       tokens.push_back(std::move(t));
       i = j;

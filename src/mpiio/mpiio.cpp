@@ -127,7 +127,6 @@ void MpiIoFile::two_phase(const std::vector<Request>& requests,
   // Aggregators proceed in parallel; each one shuffles its domain's bytes
   // from producer ranks, then streams cb_buffer_size chunks to the PFS.
   SimSeconds op_end = start;
-  const double link_bw = mpi_.profile().link_bandwidth;
   for (unsigned a = 0; a < aggregators; ++a) {
     const Bytes dom_lo = base + share * a;
     const Bytes dom_hi = dom_lo + share;
@@ -141,8 +140,8 @@ void MpiIoFile::two_phase(const std::vector<Request>& requests,
         const Bytes chunk = std::min<Bytes>(hints_.cb_buffer_size, hi - cursor);
         // Shuffle: the chunk's bytes cross the interconnect once, bounded
         // by the aggregator's injection bandwidth.
-        agg_clock += static_cast<double>(chunk) / link_bw +
-                     mpi_.profile().hop_latency;
+        agg_clock += static_cast<double>(chunk) / mpisim::kLinkBandwidth +
+                     mpisim::kHopLatency;
         counters_.shuffle_bytes += chunk;
         ++counters_.aggregator_ops;
         agg_clock = is_write ? fs_.write(handle_, agg_clock, cursor, chunk)

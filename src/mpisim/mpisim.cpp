@@ -40,8 +40,7 @@ struct MpiMetrics {
 
 }  // namespace
 
-MpiSim::MpiSim(unsigned num_ranks, MpiProfile profile)
-    : profile_(profile), clocks_(num_ranks, 0.0) {
+MpiSim::MpiSim(unsigned num_ranks) : clocks_(num_ranks, 0.0) {
   TUNIO_CHECK_MSG(num_ranks > 0, "MPI job needs at least one rank");
 }
 
@@ -74,7 +73,7 @@ void MpiSim::note_collective(const char* name, std::uint64_t& counter,
 }
 
 unsigned MpiSim::num_nodes() const {
-  return (size() + profile_.ranks_per_node - 1) / profile_.ranks_per_node;
+  return (size() + kRanksPerNode - 1) / kRanksPerNode;
 }
 
 SimSeconds MpiSim::clock(unsigned rank) const {
@@ -103,7 +102,7 @@ SimSeconds MpiSim::min_clock() const {
 
 SimSeconds MpiSim::tree_latency() const {
   const double levels = std::ceil(std::log2(std::max(2u, size())));
-  return profile_.hop_latency * levels;
+  return kHopLatency * levels;
 }
 
 void MpiSim::barrier() {
@@ -117,7 +116,7 @@ void MpiSim::barrier() {
 void MpiSim::allreduce(Bytes bytes) {
   const SimSeconds first = min_clock();
   const SimSeconds payload =
-      2.0 * static_cast<double>(bytes) / profile_.link_bandwidth;
+      2.0 * static_cast<double>(bytes) / kLinkBandwidth;
   const SimSeconds leave = max_clock() + 2.0 * tree_latency() + payload;
   for (SimSeconds c : clocks_) sync_stall_seconds_ += leave - c;
   std::fill(clocks_.begin(), clocks_.end(), leave);
@@ -129,7 +128,7 @@ void MpiSim::gather(unsigned root, Bytes bytes_per_rank) {
   const SimSeconds first = clocks_[root];
   const SimSeconds payload =
       static_cast<double>(bytes_per_rank) * (size() - 1) /
-      profile_.link_bandwidth;
+      kLinkBandwidth;
   clocks_[root] = max_clock() + tree_latency() + payload;
   note_collective("gather", gathers_, first, clocks_[root],
                   bytes_per_rank * (size() - 1));
@@ -139,7 +138,7 @@ void MpiSim::broadcast(unsigned root, Bytes bytes) {
   TUNIO_CHECK_MSG(root < size(), "root out of range");
   const SimSeconds first = clocks_[root];
   const SimSeconds payload =
-      static_cast<double>(bytes) / profile_.link_bandwidth;
+      static_cast<double>(bytes) / kLinkBandwidth;
   const SimSeconds leave = clocks_[root] + tree_latency() + payload;
   for (SimSeconds& c : clocks_) c = std::max(c, leave);
   note_collective("broadcast", broadcasts_, first, leave, bytes);
@@ -148,8 +147,8 @@ void MpiSim::broadcast(unsigned root, Bytes bytes) {
 void MpiSim::send(unsigned src, unsigned dst, Bytes bytes) {
   TUNIO_CHECK_MSG(src < size() && dst < size(), "rank out of range");
   const SimSeconds payload =
-      static_cast<double>(bytes) / profile_.link_bandwidth;
-  const SimSeconds arrival = clocks_[src] + profile_.hop_latency + payload;
+      static_cast<double>(bytes) / kLinkBandwidth;
+  const SimSeconds arrival = clocks_[src] + kHopLatency + payload;
   clocks_[dst] = std::max(clocks_[dst], arrival);
   note_collective("send", sends_, clocks_[src], arrival, bytes);
 }

@@ -18,16 +18,17 @@
 
 namespace tunio::mpisim {
 
-/// Communication cost model for collectives.
-struct MpiProfile {
-  SimSeconds hop_latency = 2e-6;       ///< per tree level
-  Bps link_bandwidth = 10 * GB;        ///< per-rank injection bandwidth
-  unsigned ranks_per_node = 32;        ///< Cori Haswell: 32 ranks/node
-};
+// Communication cost model for collectives.
+/// Latency per tree level.
+inline constexpr SimSeconds kHopLatency = 2e-6;
+/// Per-rank injection bandwidth.
+inline constexpr Bps kLinkBandwidth = 10 * GB;
+/// Cori Haswell: 32 ranks/node.
+inline constexpr unsigned kRanksPerNode = 32;
 
 class MpiSim {
  public:
-  explicit MpiSim(unsigned num_ranks, MpiProfile profile = {});
+  explicit MpiSim(unsigned num_ranks);
   /// Flushes accumulated collective counters into the global metrics
   /// registry (`mpi.*` series).
   ~MpiSim();
@@ -66,8 +67,6 @@ class MpiSim {
   /// Resets all clocks to zero.
   void reset();
 
-  const MpiProfile& profile() const { return profile_; }
-
  private:
   SimSeconds tree_latency() const;
 
@@ -79,7 +78,6 @@ class MpiSim {
   /// Publishes counters accumulated since the last publish.
   void publish_metrics();
 
-  MpiProfile profile_;
   std::vector<SimSeconds> clocks_;
 
   // Accumulated locally and flushed at teardown/reset so the collective

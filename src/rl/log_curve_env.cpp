@@ -7,12 +7,25 @@
 
 namespace tunio::rl {
 
+namespace {
+
+/// perf(0), normalized.
+constexpr double kInitialMin = 0.05, kInitialMax = 0.30;
+constexpr double kGainMin = 0.3, kGainMax = 0.9;       ///< asymptotic gain
+constexpr double kGrowthMin = 0.15, kGrowthMax = 1.2;  ///< log growth rate
+constexpr double kDipDepth = 0.15;  ///< relative dip magnitude
+/// Length range, in iterations, of one plateau window.
+constexpr unsigned kPlateauMin = 4;
+constexpr unsigned kPlateauMax = 10;
+
+}  // namespace
+
 LogCurveEpisode::LogCurveEpisode(const LogCurveParams& params, Rng& rng)
     : max_iterations_(params.max_iterations) {
   TUNIO_CHECK_MSG(max_iterations_ > 1, "episode needs > 1 iteration");
-  const double initial = rng.uniform(params.initial_min, params.initial_max);
-  const double gain = rng.uniform(params.gain_min, params.gain_max);
-  const double growth = rng.uniform(params.growth_min, params.growth_max);
+  const double initial = rng.uniform(kInitialMin, kInitialMax);
+  const double gain = rng.uniform(kGainMin, kGainMax);
+  const double growth = rng.uniform(kGrowthMin, kGrowthMax);
   const unsigned warmup = static_cast<unsigned>(rng.uniform(
       0.0, params.warmup_max_fraction * static_cast<double>(max_iterations_)));
 
@@ -27,7 +40,7 @@ LogCurveEpisode::LogCurveEpisode(const LogCurveParams& params, Rng& rng)
     const unsigned start = static_cast<unsigned>(
         rng.uniform_int(2, std::max(3u, max_iterations_ - 5)));
     const unsigned len = static_cast<unsigned>(
-        rng.uniform_int(params.plateau_min, params.plateau_max));
+        rng.uniform_int(kPlateauMin, kPlateauMax));
     plateaus.emplace_back(start, len);
   }
 
@@ -54,7 +67,7 @@ LogCurveEpisode::LogCurveEpisode(const LogCurveParams& params, Rng& rng)
     // parameter choice before adjusting.
     if (dip_remaining == 0 && rng.chance(params.dip_probability)) {
       dip_remaining = static_cast<int>(rng.uniform_int(1, 3));
-      dip_scale = 1.0 - rng.uniform(0.3, 1.0) * params.dip_depth;
+      dip_scale = 1.0 - rng.uniform(0.3, 1.0) * kDipDepth;
     }
     if (dip_remaining > 0) {
       value *= dip_scale;

@@ -21,9 +21,6 @@
 namespace tunio::rl {
 
 struct LogCurveParams {
-  double initial_min = 0.05, initial_max = 0.30;  ///< perf(0), normalized
-  double gain_min = 0.3, gain_max = 0.9;          ///< asymptotic gain
-  double growth_min = 0.15, growth_max = 1.2;     ///< log growth rate
   /// Warmup: tuning pipelines spend early iterations exploring before the
   /// log-shaped rise begins (generation-0 populations sit near the
   /// defaults). The warmup length is drawn from [0, warmup_max_fraction·T]
@@ -32,14 +29,11 @@ struct LogCurveParams {
   double warmup_max_fraction = 0.5;
   double noise_stddev = 0.015;
   double dip_probability = 0.12;   ///< chance of a temporary downward shift
-  double dip_depth = 0.15;         ///< relative dip magnitude
   /// Plateau windows: tuning often stalls for several iterations before a
   /// coordinated parameter change unlocks the next gain (the 10th-20th
   /// iteration plateau of the paper's Fig. 10(a)). Up to `max_plateaus`
-  /// windows of `plateau_min..plateau_max` iterations hold the curve flat.
+  /// windows of 4..10 iterations hold the curve flat.
   unsigned max_plateaus = 2;
-  unsigned plateau_min = 4;
-  unsigned plateau_max = 10;
   unsigned max_iterations = 50;
 };
 

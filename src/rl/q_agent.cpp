@@ -4,16 +4,25 @@
 
 namespace tunio::rl {
 
+namespace {
+
+constexpr std::size_t kReplayCapacity = 4096;
+constexpr std::size_t kBatchSize = 16;
+constexpr double kTargetTau = 0.05;  ///< target-network soft update
+constexpr double kLearningRate = 2e-3;
+
+}  // namespace
+
 QAgent::QAgent(std::size_t state_dim, std::size_t num_actions, Rng rng,
                QAgentOptions options)
     : num_actions_(num_actions),
       options_(options),
       rng_(rng),
       net_({state_dim, options.hidden, options.hidden, num_actions}, rng_,
-           {options.learning_rate}),
+           {kLearningRate}),
       target_({state_dim, options.hidden, options.hidden, num_actions}, rng_,
-              {options.learning_rate}),
-      replay_(options.replay_capacity),
+              {kLearningRate}),
+      replay_(kReplayCapacity),
       epsilon_(options.epsilon) {
   TUNIO_CHECK_MSG(num_actions_ > 0, "agent needs at least one action");
   target_.copy_from(net_);
@@ -71,7 +80,7 @@ void QAgent::learn(std::size_t steps) {
   for (std::size_t s = 0; s < steps; ++s) {
     // Training draws nothing from rng_, so sampling each transition just
     // before it is used draws the same batch as sampling it up front.
-    for (std::size_t i = 0; i < options_.batch_size; ++i) {
+    for (std::size_t i = 0; i < kBatchSize; ++i) {
       const Transition& t = replay_.sample(rng_);
       double target = t.reward;
       if (!t.terminal) {
@@ -81,7 +90,7 @@ void QAgent::learn(std::size_t steps) {
       }
       net_.train_output(t.state, t.action, target);
     }
-    target_.soft_update_from(net_, options_.target_tau);
+    target_.soft_update_from(net_, kTargetTau);
   }
 }
 

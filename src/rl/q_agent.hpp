@@ -26,10 +26,6 @@ struct QAgentOptions {
   double epsilon_min = 0.03;
   double epsilon_decay = 0.995;     ///< per select() call
   unsigned reward_delay = 5;        ///< the paper's 5-iteration delay
-  std::size_t replay_capacity = 4096;
-  std::size_t batch_size = 16;
-  double target_tau = 0.05;         ///< target-network soft update
-  double learning_rate = 2e-3;
 };
 
 class QAgent {

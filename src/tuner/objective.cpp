@@ -66,7 +66,7 @@ class ObjectiveBase : public Objective {
     // Only one run's time is billed to the budget (see header comment),
     // plus the fixed per-evaluation launch overhead.
     eval.eval_seconds =
-        seconds_sum / testbed_.runs_per_eval + testbed_.launch_overhead_seconds;
+        seconds_sum / testbed_.runs_per_eval + kLaunchOverheadSeconds;
     evaluations_.fetch_add(1, std::memory_order_relaxed);
     static obs::Histogram* perf_hist =
         &obs::MetricsRegistry::global().histogram(
@@ -151,14 +151,14 @@ class ObjectiveBase : public Objective {
 
   RunOutcome run_interpreted(const cfg::StackSettings& settings) {
     mpisim::MpiSim mpi(testbed_.num_ranks);
-    pfs::PfsSimulator fs(testbed_.pfs);
+    pfs::PfsSimulator fs;
     return run_once(mpi, fs, settings);
   }
 
   RunOutcome run_replayed(const replay::OpTrace& trace,
                           const cfg::StackSettings& settings) {
     mpisim::MpiSim mpi(testbed_.num_ranks);
-    pfs::PfsSimulator fs(testbed_.pfs);
+    pfs::PfsSimulator fs;
     const replay::ReplayResult r = replay::replay(trace, mpi, fs, settings);
     return {r.perf.perf_mbps, r.sim_seconds, r.perf};
   }

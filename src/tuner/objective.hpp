@@ -85,17 +85,18 @@ enum class ReplayMode {
   kOff,
 };
 
+/// Fixed cost billed per evaluation regardless of the application's
+/// runtime: job launch, srun spin-up, configuration injection. This is
+/// why even a near-instant I/O kernel cannot make evaluations free.
+inline constexpr SimSeconds kLaunchOverheadSeconds = 30.0;
+
 /// Simulated testbed description (the paper's 4-node/128-process rig).
+/// Objectives run it on the default `pfs::PfsProfile`.
 struct TestbedOptions {
   unsigned num_ranks = 128;
-  pfs::PfsProfile pfs;
   unsigned runs_per_eval = 3;
   /// Relative measurement noise per run (platform volatility).
   double measurement_noise = 0.02;
-  /// Fixed cost billed per evaluation regardless of the application's
-  /// runtime: job launch, srun spin-up, configuration injection. This is
-  /// why even a near-instant I/O kernel cannot make evaluations free.
-  SimSeconds launch_overhead_seconds = 30.0;
   std::uint64_t seed = 0xC0'FFEE;
   ReplayMode replay = ReplayMode::kAuto;
 };

@@ -10,14 +10,25 @@ namespace tunio::tuners {
 
 namespace {
 
+/// Candidate pool evaluated by the acquisition per batch slot.
+constexpr unsigned kCandidatePool = 160;
+/// RBF length scale over the dimension-normalized squared distance.
+constexpr double kLengthScale = 0.35;
+/// Observation noise on the standardized scale (keeps K well-posed).
+constexpr double kNugget = 1e-3;
+/// Exploration margin of the expected-improvement acquisition.
+constexpr double kEiXi = 0.01;
+/// Surrogate fit cap: beyond this many observations, the fit keeps the
+/// best quarter plus the most recent remainder (O(n^3) guard).
+constexpr std::size_t kMaxObservations = 224;
+
 /// Dense Gaussian process with an RBF kernel, fit by Cholesky
 /// factorization. Sized for tuning budgets (a few hundred observations);
 /// everything is plain O(n^2)/O(n^3) double math, fully deterministic.
 class Gp {
  public:
-  Gp(const std::vector<std::vector<double>>& xs, const std::vector<double>& ys,
-     double length_scale, double nugget)
-      : xs_(xs), length_scale_(length_scale) {
+  Gp(const std::vector<std::vector<double>>& xs, const std::vector<double>& ys)
+      : xs_(xs) {
     const std::size_t n = xs.size();
     TUNIO_CHECK_MSG(n > 0 && ys.size() == n, "GP needs matching data");
     dims_ = xs.front().size();
@@ -40,7 +51,7 @@ class Gp {
     // Cholesky with escalating jitter: duplicate-free data plus the
     // nugget almost always factors on the first try.
     lower_.assign(n * n, 0.0);
-    double jitter = nugget;
+    double jitter = kNugget;
     for (int attempt = 0; attempt < 6; ++attempt) {
       if (cholesky(k, jitter, n)) break;
       jitter *= 10.0;
@@ -80,7 +91,7 @@ class Gp {
       r2 += diff * diff;
     }
     r2 /= static_cast<double>(dims_);
-    return std::exp(-r2 / (2.0 * length_scale_ * length_scale_));
+    return std::exp(-r2 / (2.0 * kLengthScale * kLengthScale));
   }
 
   bool cholesky(const std::vector<double>& k, double jitter, std::size_t n) {
@@ -129,7 +140,6 @@ class Gp {
 
   const std::vector<std::vector<double>>& xs_;
   std::size_t dims_ = 0;
-  double length_scale_;
   double y_mean_ = 0.0;
   double y_std_ = 1.0;
   std::vector<double> lower_;  ///< row-major L of K = L L^T
@@ -234,13 +244,13 @@ std::vector<cfg::Configuration> BoTuner::next_batch() {
   std::vector<std::vector<double>> xs = xs_;
   std::vector<double> ys = ys_;
   for (unsigned slot = 0; slot < options_.batch; ++slot) {
-    const Gp gp(xs, ys, options_.length_scale, options_.nugget);
+    const Gp gp(xs, ys);
     const double best = *std::max_element(ys.begin(), ys.end());
 
     double best_ei = -1.0;
     std::vector<std::size_t> best_candidate;
     double best_mean = 0.0;
-    for (unsigned c = 0; c < options_.candidate_pool; ++c) {
+    for (unsigned c = 0; c < kCandidatePool; ++c) {
       // Half the pool explores uniformly, half exploits locally.
       const std::vector<std::size_t> candidate =
           c % 2 == 0 ? random_indices() : mutated_incumbent();
@@ -248,8 +258,7 @@ std::vector<cfg::Configuration> BoTuner::next_batch() {
       double mean = 0.0;
       double stddev = 0.0;
       gp.predict(encode(candidate), mean, stddev);
-      const double ei =
-          expected_improvement(mean, stddev, best, options_.ei_xi);
+      const double ei = expected_improvement(mean, stddev, best, kEiXi);
       if (ei > best_ei) {
         best_ei = ei;
         best_candidate = candidate;
@@ -274,9 +283,9 @@ void BoTuner::absorb(const std::vector<cfg::Configuration>& batch,
     }
   }
   // O(n^3) guard: keep the best quarter plus the most recent remainder.
-  if (xs_.size() > options_.max_observations) {
-    const std::size_t keep_best = options_.max_observations / 4;
-    const std::size_t keep_recent = options_.max_observations - keep_best;
+  if (xs_.size() > kMaxObservations) {
+    const std::size_t keep_best = kMaxObservations / 4;
+    const std::size_t keep_recent = kMaxObservations - keep_best;
     std::vector<std::size_t> order(xs_.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(),

@@ -31,19 +31,8 @@ struct BoOptions {
   /// Seeded warmup configurations (defaults + explorers) before the
   /// surrogate takes over.
   unsigned initial_design = 8;
-  /// Candidate pool evaluated by the acquisition per batch slot.
-  unsigned candidate_pool = 160;
   /// Iteration horizon (the driver's budget usually stops earlier).
   unsigned max_iterations = 50;
-  /// RBF length scale over the dimension-normalized squared distance.
-  double length_scale = 0.35;
-  /// Observation noise on the standardized scale (keeps K well-posed).
-  double nugget = 1e-3;
-  /// Exploration margin of the expected-improvement acquisition.
-  double ei_xi = 0.01;
-  /// Surrogate fit cap: beyond this many observations, the fit keeps the
-  /// best quarter plus the most recent remainder (O(n^3) guard).
-  std::size_t max_observations = 224;
   std::uint64_t seed = 0xB0'5EED;
   /// Optional starting configuration (domain indices); defaults start.
   std::optional<std::vector<std::size_t>> seed_indices;

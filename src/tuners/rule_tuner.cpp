@@ -7,12 +7,19 @@
 
 namespace tunio::tuners {
 
+namespace {
+
+/// Full sweeps over the priority list before giving up. The search
+/// usually converges earlier (a pass without improvement stops it).
+constexpr unsigned kMaxPasses = 4;
+
+}  // namespace
+
 RuleTuner::RuleTuner(const cfg::ConfigSpace& space, RuleOptions options)
     : TunerBase("rule", space), options_(std::move(options)) {
   const std::size_t dim = space.num_parameters();
   TUNIO_CHECK_MSG(options_.impact.empty() || options_.impact.size() == dim,
                   "impact vector arity mismatch");
-  TUNIO_CHECK_MSG(options_.max_passes > 0, "rule search needs >= 1 pass");
 
   if (options_.seed_indices.has_value()) {
     TUNIO_CHECK_MSG(options_.seed_indices->size() == dim,
@@ -58,7 +65,7 @@ void RuleTuner::advance() {
   while (true) {
     if (cursor_ >= order_.size()) {
       ++passes_;
-      if (!pass_improved_ || passes_ >= options_.max_passes) {
+      if (!pass_improved_ || passes_ >= kMaxPasses) {
         set_done();
         return;
       }

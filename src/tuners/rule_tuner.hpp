@@ -29,9 +29,6 @@ struct RuleOptions {
   /// Per-parameter impact scores (e.g. `SmartConfigGen::impact_scores`);
   /// empty = uniform. Priority is impact * (1 + hint weight).
   std::vector<double> impact;
-  /// Full sweeps over the priority list before giving up. The search
-  /// usually converges earlier (a pass without improvement stops it).
-  unsigned max_passes = 4;
   /// Optional starting configuration (domain indices); defaults start.
   std::optional<std::vector<std::size_t>> seed_indices;
 };

@@ -97,9 +97,8 @@ TEST(Interval, CountArithmeticClampsAndSaturates) {
 ProgramCost analyze(const std::string& source,
                     std::int64_t ranks_lo = 1,
                     std::int64_t ranks_hi = 1 << 20) {
-  CostOptions options;
-  options.absint.mpi_ranks = Interval::range(ranks_lo, ranks_hi);
-  return predict_cost(minic::parse(source), options);
+  return predict_cost(minic::parse(source),
+                      Interval::range(ranks_lo, ranks_hi));
 }
 
 const SiteCost* site_for(const ProgramCost& cost, const std::string& callee) {
@@ -450,9 +449,7 @@ void expect_contains(const Interval& predicted, std::uint64_t got,
 
 void expect_cost_contains_measurement(const std::string& source) {
   const minic::Program program = minic::parse(source);
-  CostOptions options;
-  options.absint.mpi_ranks = Interval::constant(kRanks);
-  const ProgramCost cost = predict_cost(program, options);
+  const ProgramCost cost = predict_cost(program, Interval::constant(kRanks));
   ASSERT_TRUE(cost.analyzable) << cost.failure;
 
   const replay::AppIoCounts got = measured(program);
@@ -492,9 +489,8 @@ TEST(DifferentialOracle, SeedPredictionsAreBounded) {
        {"VPIC-IO", "FLASH-IO", "HACC-IO", "MACSio", "BD-CATS"}) {
     const auto source = wl::sources::source_for(name);
     ASSERT_TRUE(source.has_value()) << name;
-    CostOptions options;
-    options.absint.mpi_ranks = Interval::constant(kRanks);
-    const ProgramCost cost = predict_cost(minic::parse(*source), options);
+    const ProgramCost cost =
+        predict_cost(minic::parse(*source), Interval::constant(kRanks));
     ASSERT_TRUE(cost.analyzable) << name << ": " << cost.failure;
     EXPECT_TRUE(cost.bounded()) << name;
     EXPECT_TRUE(cost.bytes_written.bounded_above()) << name;

@@ -397,9 +397,8 @@ TEST(AnalysisFuzz, DifferentialOverRandomPrograms) {
     expect_same_counts(full_counts, kernel_counts);
 
     // (3) Predicted cost intervals contain the measured quantities.
-    analysis::CostOptions copts;
-    copts.absint.mpi_ranks = analysis::Interval::constant(kRanks);
-    const analysis::ProgramCost cost = analysis::predict_cost(program, copts);
+    const analysis::ProgramCost cost =
+        analysis::predict_cost(program, analysis::Interval::constant(kRanks));
     ASSERT_TRUE(cost.analyzable) << cost.failure;
     expect_contains(cost.write_ops, full_counts.write_ops, "write ops");
     expect_contains(cost.read_ops, full_counts.read_ops, "read ops");

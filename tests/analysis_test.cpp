@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -567,6 +569,68 @@ TEST(Lint, TuningHintsAreSeverityWeightedAndNormalized) {
   for (std::size_t i = 1; i < hints.size(); ++i) {
     EXPECT_GE(hints[i - 1].second, hints[i].second);
   }
+}
+
+TEST(Lint, FoldTreatsInt64OverflowAsNotConstant) {
+  // Folded on raw int64, INT64_MIN / -1 trapped (SIGFPE) and these
+  // products overflowed (undefined behaviour). A size outside int64 is
+  // not a constant, so no size-based diagnostic fires on either. The
+  // same programs are CI inputs under tests/data/.
+  const LintReport div = lint_source(R"(int main()
+{
+  int file = h5fcreate("/scratch/fold_div.h5");
+  int ds = h5dcreate(file, "d", 8, 1024);
+  for (int i = 0; i < 4; i = i + 1)
+  {
+    h5dwrite_strided(ds, i, (0 - 9223372036854775807 - 1) / (0 - 1));
+  }
+  h5dclose(ds);
+  h5fclose(file);
+  return 0;
+})");
+  EXPECT_EQ(div.count(LintKind::kIndependentIoInLoop), 1u);
+  EXPECT_EQ(div.count(LintKind::kStripeUnalignedAccess), 0u);
+
+  const LintReport mul = lint_source(R"(int main()
+{
+  int file = h5fcreate("/scratch/fold_mul.h5");
+  int ds = h5dcreate(file, "d", 8, 1024);
+  int n = 3037000500 * 3037000500;
+  for (int i = 0; i < 4; i = i + 1)
+  {
+    h5dwrite_strided(ds, i, n);
+    h5dwrite_strided(ds, i, 2305843009213693952);
+  }
+  h5dclose(ds);
+  h5fclose(file);
+  return 0;
+})");
+  EXPECT_EQ(mul.count(LintKind::kIndependentIoInLoop), 2u);
+  EXPECT_EQ(mul.count(LintKind::kStripeUnalignedAccess), 0u);
+  EXPECT_EQ(mul.count(LintKind::kSmallWritesInLoop), 0u);
+}
+
+TEST(Lint, WorkloadSourceReportsArePinned) {
+  // flash_tunio and bdcats_service tune from these hints, so the
+  // linter's whole output on the built-in sources is pinned: FNV-1a over
+  // every format() line and every tuning_hints() name with its weight's
+  // bits. A moved threshold, message or weight changes the hash.
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  const auto add = [&hash](const std::string& text) {
+    for (const unsigned char c : text) hash = (hash ^ c) * 0x100000001B3ull;
+    hash = (hash ^ '\n') * 0x100000001B3ull;
+  };
+  using namespace wl::sources;
+  for (const std::string& source :
+       {macsio_vpic(), vpic(), flash(), hacc(), bdcats()}) {
+    const LintReport report = lint_source(source);
+    for (const Diagnostic& d : report.diagnostics) add(format(d));
+    for (const auto& [param, weight] : report.tuning_hints()) {
+      add(param + "=" +
+          std::to_string(std::bit_cast<std::uint64_t>(weight)));
+    }
+  }
+  EXPECT_EQ(hash, 0x4054927A35451283ull);
 }
 
 // --- hints -> Smart Configuration Generation -------------------------------

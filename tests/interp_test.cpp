@@ -2,6 +2,10 @@
 // against the simulated stack, loop reduction bookkeeping, error traps.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 #include "config/stack_settings.hpp"
 #include "interp/interp.hpp"
@@ -27,6 +31,26 @@ TEST(Interp, ArithmeticAndReturn) {
   EXPECT_EQ(run("int main() { return -3 + 5; }").exit_code, 2);
   EXPECT_EQ(run("int main() { double x = 2.5; return x * 2.0; }").exit_code,
             5);
+}
+
+TEST(Interp, IntegerArithmeticWrapsAsTwosComplement) {
+  // The two's-complement int64 semantics the abstract interpreter
+  // assumes: overflow wraps, and dividing INT64_MIN by -1 does not trap.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::string min = "(0 - 9223372036854775807 - 1)";
+  const auto eval = [](const std::string& expr) {
+    return run("int main() { return " + expr + "; }").exit_code;
+  };
+  EXPECT_EQ(eval("9223372036854775807 + 1"), kMin);
+  EXPECT_EQ(eval(min + " - 1"), kMax);
+  EXPECT_EQ(eval("4611686018427387904 * 2"), kMin);
+  EXPECT_EQ(eval("3037000500 * 3037000500"), -9223372036709301616);
+  EXPECT_EQ(eval("-" + min), kMin);
+  EXPECT_EQ(eval(min + " / -1"), kMin);
+  EXPECT_EQ(eval(min + " % -1"), 0);
+  EXPECT_EQ(eval("7 / -1"), -7);
+  EXPECT_EQ(eval("-7 % 3"), -1);
 }
 
 TEST(Interp, ComparisonsAndLogic) {

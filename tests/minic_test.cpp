@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -47,6 +50,27 @@ TEST(Lexer, ColumnResetsAfterBlockComment) {
   EXPECT_EQ(tokens[0].kind, TokenKind::kInt);
   EXPECT_EQ(tokens[0].line, 2);
   EXPECT_EQ(tokens[0].column, 9);  // after "line */ "
+}
+
+TEST(Lexer, BadNumberLiteralsAreLocatedSourceErrors) {
+  // Out-of-range and malformed literals used to escape as
+  // std::out_of_range or lex as a truncated prefix (1.2.3 read as 1.2).
+  const auto expect_error = [](const std::string& source,
+                               const std::string& location) {
+    try {
+      lex(source);
+      ADD_FAILURE() << "lexed: " << source;
+    } catch (const SourceError& e) {
+      EXPECT_NE(std::string(e.what()).find(location), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_error("int x = 99999999999999999999;", "line 1, column 9");
+  expect_error("double x = 1.2.3;", "line 1, column 12");
+  expect_error("double x =\n  1e999;", "line 2, column 3");
+  const auto tokens = lex("9223372036854775807 2.");
+  EXPECT_EQ(tokens[0].int_value, std::numeric_limits<std::int64_t>::max());
+  EXPECT_DOUBLE_EQ(tokens[1].float_value, 2.0);
 }
 
 TEST(Parser, PropagatesLineAndColumnIntoAst) {

@@ -104,7 +104,7 @@ TEST(WorkloadObjective, SingleSimulationAveragingMatchesManualComputation) {
   // detail carries the raw (un-noised) metering of the simulated run.
   const double base_perf = single.detail.perf_mbps;
   const SimSeconds base_seconds =
-      single.eval_seconds - raw.launch_overhead_seconds;
+      single.eval_seconds - kLaunchOverheadSeconds;
 
   TestbedOptions tb = small_testbed();
   tb.runs_per_eval = 3;
@@ -123,7 +123,7 @@ TEST(WorkloadObjective, SingleSimulationAveragingMatchesManualComputation) {
   }
   EXPECT_EQ(eval.perf_mbps, perf_sum / tb.runs_per_eval);
   EXPECT_EQ(eval.eval_seconds,
-            seconds_sum / tb.runs_per_eval + tb.launch_overhead_seconds);
+            seconds_sum / tb.runs_per_eval + kLaunchOverheadSeconds);
 }
 
 TEST(WorkloadObjective, BatchMatchesSerialEvaluation) {
