@@ -45,6 +45,11 @@ class LaunchLatencyObjective final : public tuner::Objective {
     return inner_.evaluate(config);
   }
   bool concurrent_safe() const override { return inner_.concurrent_safe(); }
+  // Forwarded so the engine runs the inner objective's replay record and
+  // verify on the batch's calling thread, as for the objective itself.
+  tuner::ReplayGate replay_gate() const override {
+    return inner_.replay_gate();
+  }
   std::uint64_t evaluations() const override { return inner_.evaluations(); }
 
  private:
@@ -157,6 +162,18 @@ int run(int argc, char** argv) {
                                     std::chrono::milliseconds(40));
   LaunchLatencyObjective parallel_lat(*parallel_inner,
                                       std::chrono::milliseconds(40));
+  // Each objective records and verifies its replay trace first, untimed
+  // like its construction: the engine runs those two evaluations on the
+  // batch's calling thread, one after the other, so a timed first batch
+  // would add two serial launch delays that no later generation pays.
+  const auto bootstrap_start = Clock::now();
+  for (tuner::Objective* inner : {serial_inner.get(), parallel_inner.get()}) {
+    while (inner->evaluations() < 2) {
+      inner->evaluate(space.default_configuration());
+    }
+  }
+  std::printf("replay bootstrap (record + verify, untimed): %.3f s\n",
+              seconds_since(bootstrap_start));
   const RegimeResult lat =
       run_regime(serial_lat, parallel_lat, generation, kWorkers);
   report("launch-latency-bound (the service regime)", lat);

@@ -34,18 +34,32 @@ struct CacheMetrics {
 
 }  // namespace
 
+const ChunkEntry* ChunkTable::find(std::uint64_t chunk) const {
+  const std::uint64_t page = chunk >> kPageBits;
+  const Page* found = page == memo_page_ ? memo_ : nullptr;
+  if (found == nullptr) {
+    Page* const* indexed = index_.find(page);
+    if (indexed == nullptr) return nullptr;
+    found = *indexed;
+  }
+  return &found->entries[chunk & (kPageSize - 1)];
+}
+
+ChunkTable::Page& ChunkTable::page_for(std::uint64_t page) {
+  const auto [slot, inserted] = index_.try_emplace(page, nullptr);
+  if (inserted) {
+    pages_.push_back(std::make_unique<Page>());
+    *slot = pages_.back().get();
+  }
+  return **slot;
+}
+
 ChunkCache::ChunkCache(ChunkCacheProps props, Bytes chunk_bytes)
     : props_(props), chunk_bytes_(chunk_bytes) {
   TUNIO_CHECK_MSG(chunk_bytes_ > 0, "chunk size must be positive");
   const auto by_bytes =
       static_cast<std::size_t>(props_.rdcc_nbytes / chunk_bytes_);
   max_resident_ = std::min<std::size_t>(by_bytes, props_.rdcc_nslots);
-  // Size the pool and index up front for HDF5's default slot count, so a
-  // touch never pays for growth; a larger cache grows on demand.
-  const std::size_t upfront =
-      std::min<std::size_t>(max_resident_, ChunkCacheProps{}.rdcc_nslots);
-  nodes_.reserve(upfront);
-  index_.reserve(upfront + 1);  // a miss inserts before the victim leaves
 }
 
 ChunkCache::~ChunkCache() {
@@ -58,58 +72,75 @@ ChunkCache::~ChunkCache() {
 }
 
 bool ChunkCache::resident(const ChunkKey& key) const {
-  return index_.find(key) != nullptr;
+  const ChunkEntry* entry = table_.find(key.chunk);
+  for (std::uint32_t n = entry ? entry->resident : kNoNode; n != kNoNode;
+       n = nodes_[n].chain) {
+    if (nodes_[n].key.rank == key.rank) return true;
+  }
+  return false;
 }
 
 void ChunkCache::unlink(std::uint32_t node) {
   Node& n = nodes_[node];
-  (n.prev == kNil ? head_ : nodes_[n.prev].next) = n.next;
-  (n.next == kNil ? tail_ : nodes_[n.next].prev) = n.prev;
+  (n.prev == kNoNode ? head_ : nodes_[n.prev].next) = n.next;
+  (n.next == kNoNode ? tail_ : nodes_[n.next].prev) = n.prev;
 }
 
 void ChunkCache::push_front(std::uint32_t node) {
   Node& n = nodes_[node];
-  n.prev = kNil;
+  n.prev = kNoNode;
   n.next = head_;
-  (head_ == kNil ? tail_ : nodes_[head_].prev) = node;
+  (head_ == kNoNode ? tail_ : nodes_[head_].prev) = node;
   head_ = node;
 }
 
-void ChunkCache::touch(const ChunkKey& key, bool write,
+void ChunkCache::unchain(std::uint32_t node) {
+  std::uint32_t* link = &nodes_[node].entry->resident;
+  while (*link != node) link = &nodes_[*link].chain;
+  *link = nodes_[node].chain;
+}
+
+void ChunkCache::touch(const ChunkKey& key, ChunkEntry& entry, bool write,
                        CacheOutcome& outcome) {
-  // On a miss the new chunk takes a fresh pool node, or the LRU victim's.
-  const bool full = nodes_.size() == max_resident_;
-  const auto node = full ? tail_ : static_cast<std::uint32_t>(nodes_.size());
-  const auto [found, inserted] = index_.try_emplace(key, node);
-  if (!inserted) {
+  for (std::uint32_t n = entry.resident; n != kNoNode; n = nodes_[n].chain) {
+    if (nodes_[n].key.rank != key.rank) continue;
     ++stats_.hits;
     outcome.hit = true;
-    nodes_[*found].dirty |= write;
-    if (*found != head_) {
-      unlink(*found);
-      push_front(*found);
+    nodes_[n].dirty |= write;
+    if (n != head_) {
+      unlink(n);
+      push_front(n);
     }
     return;
   }
   ++stats_.misses;
-  if (full) {
+  // The new chunk takes a fresh pool node, or the LRU victim's.
+  std::uint32_t node = tail_;
+  if (nodes_.size() == max_resident_) {
     const Node& victim = nodes_[node];
     ++stats_.evictions;
     if (victim.dirty) {
       ++stats_.dirty_evictions;
       outcome.evicted_dirty = victim.key;
+      outcome.evicted_entry = victim.entry;
     }
-    index_.erase(victim.key);
+    unchain(node);
     unlink(node);
   } else {
+    node = static_cast<std::uint32_t>(nodes_.size());
     nodes_.emplace_back();
   }
-  nodes_[node].key = key;
-  nodes_[node].dirty = write;
+  Node& n = nodes_[node];
+  n.key = key;
+  n.entry = &entry;
+  n.chain = entry.resident;
+  n.dirty = write;
+  entry.resident = node;
   push_front(node);
 }
 
-CacheOutcome ChunkCache::touch_write(const ChunkKey& key, Bytes covered_bytes,
+CacheOutcome ChunkCache::touch_write(const ChunkKey& key, ChunkEntry& entry,
+                                     Bytes covered_bytes,
                                      bool chunk_was_allocated) {
   CacheOutcome outcome;
   // A partial write to a chunk that exists on disk but not in the cache
@@ -121,32 +152,74 @@ CacheOutcome ChunkCache::touch_write(const ChunkKey& key, Bytes covered_bytes,
     outcome.needs_preread = partial;
     return outcome;
   }
-  touch(key, /*write=*/true, outcome);
+  touch(key, entry, /*write=*/true, outcome);
   outcome.needs_preread = partial && !outcome.hit;
   return outcome;
 }
 
-CacheOutcome ChunkCache::touch_read(const ChunkKey& key) {
+CacheOutcome ChunkCache::touch_read(const ChunkKey& key, ChunkEntry& entry) {
   CacheOutcome outcome;
   if (max_resident_ == 0) {
     ++stats_.bypasses;
     outcome.bypass = true;
     return outcome;
   }
-  touch(key, /*write=*/false, outcome);
+  touch(key, entry, /*write=*/false, outcome);
   return outcome;
+}
+
+std::vector<std::uint32_t> ChunkCache::take_dirty() {
+  std::vector<std::uint32_t> dirty;
+  unsigned max_rank = 0;
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    Node& node = nodes_[i];
+    if (!node.dirty) continue;
+    node.dirty = false;
+    dirty.push_back(i);
+    max_rank = std::max(max_rank, node.key.rank);
+  }
+  if (max_rank >= dirty.size() + 4096) {
+    // Sparse ranks: too many buckets for a counting sort.
+    std::sort(dirty.begin(), dirty.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                const ChunkKey& x = nodes_[a].key;
+                const ChunkKey& y = nodes_[b].key;
+                return x.rank != y.rank ? x.rank < y.rank : x.chunk < y.chunk;
+              });
+    return dirty;
+  }
+  // Ranks are dense: a counting sort by rank, then a sort of each rank's
+  // chunk ids where they are not in order already.
+  std::vector<std::uint32_t> rank_ends(std::size_t{max_rank} + 1, 0);
+  for (const std::uint32_t i : dirty) ++rank_ends[nodes_[i].key.rank];
+  std::uint32_t begin = 0;
+  for (std::uint32_t& end : rank_ends) {
+    begin += end;
+    end = begin - end;  // start of the bucket, for now
+  }
+  std::vector<std::uint32_t> sorted(dirty.size());
+  for (const std::uint32_t i : dirty) {
+    sorted[rank_ends[nodes_[i].key.rank]++] = i;
+  }
+  const auto by_chunk = [this](std::uint32_t a, std::uint32_t b) {
+    return nodes_[a].key.chunk < nodes_[b].key.chunk;
+  };
+  begin = 0;
+  for (const std::uint32_t end : rank_ends) {
+    const auto first = sorted.begin() + begin;
+    const auto last = sorted.begin() + end;
+    if (!std::is_sorted(first, last, by_chunk)) {
+      std::sort(first, last, by_chunk);
+    }
+    begin = end;
+  }
+  return sorted;
 }
 
 std::vector<ChunkKey> ChunkCache::flush_dirty() {
   std::vector<ChunkKey> dirty;
-  for (Node& node : nodes_) {
-    if (node.dirty) {
-      dirty.push_back(node.key);
-      node.dirty = false;
-    }
-  }
-  std::sort(dirty.begin(), dirty.end(), [](const ChunkKey& a, const ChunkKey& b) {
-    return a.rank != b.rank ? a.rank < b.rank : a.chunk < b.chunk;
+  flush_dirty([&dirty](const ChunkKey& key, ChunkEntry&) {
+    dirty.push_back(key);
   });
   return dirty;
 }

@@ -14,11 +14,6 @@ constexpr Bytes kObjectHeaderBytes = 800;
 constexpr Bytes kBtreeRecordBytes = 160;
 constexpr Bytes kAttributeBytes = 256;
 
-/// Chunk-index entries reserved at creation: the declared chunk count, up
-/// to this many (192 KiB of table). Filling a typical dataset then never
-/// rehashes, and a huge sparse declaration costs no more.
-constexpr std::uint64_t kChunkIndexReserve = 4096;
-
 }  // namespace
 
 Dataset::Dataset(File& file, std::string name, Bytes elem_size,
@@ -35,9 +30,6 @@ Dataset::Dataset(File& file, std::string name, Bytes elem_size,
                                               num_elements_);
     TUNIO_CHECK_MSG(chunk_elements_ > 0, "chunk size must be positive");
     cache_ = std::make_unique<ChunkCache>(ccpl, chunk_bytes());
-    const std::uint64_t declared_chunks =
-        (num_elements_ + chunk_elements_ - 1) / chunk_elements_;
-    chunk_offsets_.reserve(std::min(declared_chunks, kChunkIndexReserve));
     // B-tree root for the chunk index.
     file_.meta().meta_update(kBtreeRecordBytes);
   } else {
@@ -55,18 +47,19 @@ const ChunkCacheStats* Dataset::cache_stats() const {
 }
 
 std::optional<Bytes> Dataset::chunk_offset(std::uint64_t chunk_index) const {
-  const Bytes* offset = chunk_offsets_.find(chunk_index);
-  return offset ? std::optional<Bytes>(*offset) : std::nullopt;
+  const ChunkEntry* entry =
+      cache_ ? cache_->table().find(chunk_index) : nullptr;
+  return entry && entry->allocated() ? std::optional<Bytes>(entry->offset)
+                                     : std::nullopt;
 }
 
-Bytes Dataset::ensure_chunk_allocated(std::uint64_t chunk_index) {
-  const auto [offset, inserted] = chunk_offsets_.try_emplace(chunk_index, 0);
-  if (inserted) {
-    *offset = file_.meta().alloc_raw(chunk_bytes());
+Bytes Dataset::ensure_chunk_allocated(ChunkEntry& entry) {
+  if (!entry.allocated()) {
+    entry.offset = file_.meta().alloc_raw(chunk_bytes());
     // Chunk-index insertion: B-tree record update.
     file_.meta().meta_update(kBtreeRecordBytes);
   }
-  return *offset;
+  return entry.offset;
 }
 
 void Dataset::issue_writes(const std::vector<ByteExtent>& extents,
@@ -201,9 +194,9 @@ void Dataset::read_contiguous(const std::vector<Selection>& selections,
   issue_reads(direct, dxpl.collective);
 }
 
-void Dataset::write_back_chunk(const ChunkKey& key) {
-  const Bytes offset = ensure_chunk_allocated(key.chunk);
-  file_.mpiio().write_at(key.rank, offset, chunk_bytes());
+void Dataset::write_back_chunk(unsigned rank, ChunkEntry& entry) {
+  const Bytes offset = ensure_chunk_allocated(entry);
+  file_.mpiio().write_at(rank, offset, chunk_bytes());
 }
 
 void Dataset::write_chunked(const std::vector<Selection>& selections,
@@ -222,13 +215,15 @@ void Dataset::write_chunked(const std::vector<Selection>& selections,
       // Chunk-index traversal: one metadata lookup per chunk touch.
       file_.meta().meta_lookup(kBtreeRecordBytes);
 
-      const bool allocated = chunk_offsets_.find(chunk_index) != nullptr;
+      ChunkEntry& entry = cache_->table().at(chunk_index);
       const CacheOutcome outcome = cache_->touch_write(
-          {sel.rank, chunk_index}, covered, allocated);
+          {sel.rank, chunk_index}, entry, covered, entry.allocated());
 
-      if (outcome.evicted_dirty) write_back_chunk(*outcome.evicted_dirty);
+      if (outcome.evicted_dirty) {
+        write_back_chunk(outcome.evicted_dirty->rank, *outcome.evicted_entry);
+      }
       if (outcome.bypass) {
-        const Bytes chunk_off = ensure_chunk_allocated(chunk_index);
+        const Bytes chunk_off = ensure_chunk_allocated(entry);
         if (outcome.needs_preread) {
           ++stats_.chunk_prereads;
           file_.mpiio().read_at(sel.rank, chunk_off, chunk_bytes());
@@ -238,7 +233,7 @@ void Dataset::write_chunked(const std::vector<Selection>& selections,
       } else if (outcome.needs_preread) {
         // Partial write to a non-resident, existing chunk: fetch it.
         ++stats_.chunk_prereads;
-        const Bytes chunk_off = ensure_chunk_allocated(chunk_index);
+        const Bytes chunk_off = ensure_chunk_allocated(entry);
         file_.mpiio().read_at(sel.rank, chunk_off, chunk_bytes());
       }
       element += take;
@@ -261,9 +256,13 @@ void Dataset::read_chunked(const std::vector<Selection>& selections,
           std::min<std::uint64_t>(remaining, chunk_elements_ - within);
 
       file_.meta().meta_lookup(kBtreeRecordBytes);
-      const CacheOutcome outcome = cache_->touch_read({sel.rank, chunk_index});
-      if (outcome.evicted_dirty) write_back_chunk(*outcome.evicted_dirty);
-      const Bytes chunk_off = ensure_chunk_allocated(chunk_index);
+      ChunkEntry& entry = cache_->table().at(chunk_index);
+      const CacheOutcome outcome =
+          cache_->touch_read({sel.rank, chunk_index}, entry);
+      if (outcome.evicted_dirty) {
+        write_back_chunk(outcome.evicted_dirty->rank, *outcome.evicted_entry);
+      }
+      const Bytes chunk_off = ensure_chunk_allocated(entry);
       if (outcome.bypass) {
         direct_reads.push_back(
             {sel.rank, chunk_off + within * elem_size_, take * elem_size_});
@@ -287,9 +286,9 @@ void Dataset::flush() {
     window = SieveWindow{};
   }
   if (cache_) {
-    for (const ChunkKey& key : cache_->flush_dirty()) {
-      write_back_chunk(key);
-    }
+    cache_->flush_dirty([this](const ChunkKey& key, ChunkEntry& entry) {
+      write_back_chunk(key.rank, entry);
+    });
   }
 }
 

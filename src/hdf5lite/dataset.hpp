@@ -10,7 +10,9 @@
 //     accesses (`sieve_buf_size`);
 //   * chunked — fixed-size chunks allocated on first touch (aligned per
 //     the FAPL), staged in an LRU chunk cache (`chunk_cache`), with
-//     chunk-index metadata traffic on every chunk touch.
+//     chunk-index metadata traffic on every chunk touch. The cache's chunk
+//     table holds each touched chunk's file offset and residency, so a
+//     touch finds its chunk once; nothing is sized per dataset up front.
 //
 // Writes/reads take per-rank element selections and a transfer property
 // list; collective transfers route through MPI-IO's two-phase engine.
@@ -24,7 +26,6 @@
 #include <vector>
 
 #include "hdf5lite/chunk_cache.hpp"
-#include "hdf5lite/flat_map.hpp"
 #include "hdf5lite/metadata.hpp"
 #include "hdf5lite/properties.hpp"
 #include "mpiio/mpiio.hpp"
@@ -109,10 +110,10 @@ class Dataset {
                     const TransferProps& dxpl);
 
   /// Ensures the chunk has file space; returns its offset.
-  Bytes ensure_chunk_allocated(std::uint64_t chunk_index);
+  Bytes ensure_chunk_allocated(ChunkEntry& entry);
 
-  /// Writes a full chunk back (cache eviction / flush).
-  void write_back_chunk(const ChunkKey& key);
+  /// Writes `rank`'s copy of a full chunk back (cache eviction / flush).
+  void write_back_chunk(unsigned rank, ChunkEntry& entry);
 
   void flush_sieve(unsigned rank);
 
@@ -127,9 +128,9 @@ class Dataset {
   std::uint64_t chunk_elements_ = 0;  ///< 0 = contiguous
 
   Bytes base_offset_ = 0;  ///< contiguous layout only
-  /// Chunked layout: file offset of each chunk touched so far (the
-  /// declared extent may be far larger than what is ever written).
-  FlatMap<std::uint64_t, Bytes> chunk_offsets_;
+  /// Chunked layout only: the chunk cache and, in its table, the file
+  /// offset of each chunk touched so far (the declared extent may be far
+  /// larger than what is ever written).
   std::unique_ptr<ChunkCache> cache_;
   std::map<unsigned, SieveWindow> sieves_;  ///< per-rank sieve windows
   bool closed_ = false;

@@ -54,7 +54,10 @@ Bytes MetadataManager::alloc_meta(Bytes bytes) {
 void MetadataManager::meta_update(Bytes bytes) {
   const Bytes offset = alloc_meta(bytes);
   working_set_ += bytes;
-  miss_period_ = miss_period();
+  // While the working set fits, the period is the constant cold-miss one.
+  if (miss_period_ == 0 || working_set_ > fapl_.mdc_nbytes) {
+    miss_period_ = miss_period();
+  }
   if (fapl_.coll_metadata_write) {
     // Stage: the dirty metadata will be written in one aggregated pass.
     if (staged_meta_bytes_ == 0) staged_meta_offset_ = offset;

@@ -70,8 +70,9 @@ class MetadataManager {
   /// Lookups per metadata-cache miss (0: none miss), about one over the
   /// miss probability that the metadata working set vs. `mdc_nbytes`
   /// gives. `meta_lookup` reads it from `miss_period_`, which
-  /// `meta_update` refreshes whenever the working set grows; the FAPL is
-  /// fixed at construction.
+  /// `meta_update` sets once the working set is non-empty and refreshes
+  /// only while it exceeds `mdc_nbytes` (below that the period is fixed);
+  /// the FAPL is fixed at construction.
   std::uint64_t miss_period() const;
 
   mpisim::MpiSim& mpi_;

@@ -33,7 +33,11 @@ using Value = std::variant<std::int64_t, double, std::string>;
 std::int64_t as_int(const Value& v, int line) {
   if (const auto* i = std::get_if<std::int64_t>(&v)) return *i;
   if (const auto* d = std::get_if<double>(&v)) {
-    return static_cast<std::int64_t>(*d);
+    // Truncation is defined only when the result fits; NaN fails both
+    // comparisons.
+    if (*d >= -0x1p63 && *d < 0x1p63) return static_cast<std::int64_t>(*d);
+    fail(line, "double value " + std::to_string(*d) +
+                   " is outside the int range");
   }
   fail(line, "expected a numeric value, found a string");
 }
@@ -91,7 +95,7 @@ class Interpreter {
     }
 
     InterpResult result;
-    result.exit_code = ret ? as_int(*ret, 0) : 0;
+    result.exit_code = ret ? as_int(*ret, main_fn->line) : 0;
     for (const auto& [site, factor] : reduction_factors_) {
       result.extrapolation *= factor;
     }

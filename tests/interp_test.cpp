@@ -183,6 +183,49 @@ TEST(Interp, RuntimeErrors) {
   EXPECT_THROW(run("int notmain() { return 0; }"), SourceError);
 }
 
+// A double converts to int only when its integer part fits int64; NaN and
+// out-of-range values raise a located error instead of undefined
+// behaviour. Values just inside the range still truncate toward zero.
+TEST(Interp, DoubleToIntOutsideRangeIsAnError) {
+  const auto error = [](const std::string& source) -> std::string {
+    try {
+      run(source);
+    } catch (const SourceError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string out_of_range = "is outside the int range";
+  const std::string found =
+      "int main()\n{\n  double d = 100000000000000000000.0;\n"
+      "  return d;\n}";
+  EXPECT_NE(error(found).find("line 1: double value"), std::string::npos)
+      << error(found);
+  for (const char* value : {"-100000000000000000000.0",
+                            "9223372036854775808.0"}) {
+    const std::string source = std::string("int main() { double d = ") +
+                               value + "; return d; }";
+    EXPECT_NE(error(source).find(out_of_range), std::string::npos) << value;
+  }
+  // inf - inf is NaN.
+  const std::string nan =
+      "int main() { double big = 1.0; int i = 0;\n"
+      " while (i < 400) { big = big * 10.0; i = i + 1; }\n"
+      " double n = big - big;\n";
+  for (const char* use : {"return n; }", "h5fclose(n); return 0; }"}) {
+    EXPECT_NE(error(nan + use).find(out_of_range), std::string::npos) << use;
+  }
+  EXPECT_NE(error(nan + "h5fclose(n); return 0; }").find("line 4"),
+            std::string::npos);
+  EXPECT_EQ(run("int main() { double d = -2.75; return d; }").exit_code, -2);
+  EXPECT_EQ(run("int main() { double d = -9223372036854775808.0; return d; }")
+                .exit_code,
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(run("int main() { double d = 9223372036854774784.0; return d; }")
+                .exit_code,
+            9223372036854774784);
+}
+
 TEST(Interp, LoopIterationGuard) {
   mpisim::MpiSim mpi(2);
   pfs::PfsSimulator fs;
