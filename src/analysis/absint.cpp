@@ -409,17 +409,23 @@ AbsValue AbstractInterpreter::eval_call(const Expr& call, const AbsEnv& env,
     }
     return v;
   }
+  // Argument intervals recorded per call site, joined over every solver
+  // evaluation (eval_at's read-only re-evaluations add nothing).
+  const auto record = [&](std::map<const Expr*, Interval>& sites,
+                          const Interval& value) {
+    if (solver == nullptr) return;
+    const auto [it, fresh] = sites.try_emplace(&call, value);
+    if (!fresh) it->second = it->second.join(value);
+  };
   if (name == "h5dcreate") {
     AbsValue v;
     v.tainted = arg_taint;
     v.origins.insert(&call);
-    if (solver != nullptr && args.size() >= 3) {
-      const auto it = elem_sizes_.find(&call);
-      elem_sizes_[&call] = it == elem_sizes_.end()
-                               ? args[2].range
-                               : it->second.join(args[2].range);
-    }
+    if (args.size() >= 3) record(elem_sizes_, args[2].range);
     return v;
+  }
+  if (name == "h5set_chunking" && !args.empty()) {
+    record(chunk_elems_, args[0].range);
   }
   if (name == "h5fcreate" || name == "h5fopen" || name == "h5dopen") {
     AbsValue v;  // handle index: top, unknown provenance

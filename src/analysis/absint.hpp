@@ -204,6 +204,11 @@ class AbstractInterpreter {
   const std::map<const minic::Expr*, Interval>& dataset_elem_sizes() const {
     return elem_sizes_;
   }
+  /// Element-count interval recorded at each h5set_chunking call site
+  /// (join over every abstract evaluation that reached it).
+  const std::map<const minic::Expr*, Interval>& chunk_elements() const {
+    return chunk_elems_;
+  }
   /// Element-size interval for a dataset-handle value: join over its
   /// provenance sites; top when provenance is unknown.
   Interval elem_size_of(const AbsValue& handle) const;
@@ -252,6 +257,7 @@ class AbstractInterpreter {
   std::map<std::string, FunctionContext*> memo_;
   std::set<const minic::Function*> in_progress_;
   std::map<const minic::Expr*, Interval> elem_sizes_;
+  std::map<const minic::Expr*, Interval> chunk_elems_;
   const FunctionContext* main_ = nullptr;
 
   mutable int total_transfers_ = 0;

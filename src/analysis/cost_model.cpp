@@ -345,7 +345,12 @@ ProgramCost predict_cost(const Program& program, Interval mpi_ranks) {
     out.approximate = absint.approximate();
     out.solver_transfers = absint.total_transfers();
 
-    for (const SiteCost& site : out.sites) {
+    const auto recorded = [](const std::map<const Expr*, Interval>& sites,
+                             const Expr* call) {
+      const auto it = sites.find(call);
+      return it == sites.end() ? Interval::top() : it->second;
+    };
+    for (SiteCost& site : out.sites) {
       switch (site.kind) {
         case SiteKind::kWrite:
           out.write_ops = count_add(out.write_ops, site.calls);
@@ -360,6 +365,10 @@ ProgramCost predict_cost(const Program& program, Interval mpi_ranks) {
             out.file_opens = count_add(out.file_opens, site.calls);
           } else if (site.callee == "h5dcreate") {
             out.dataset_creates = count_add(out.dataset_creates, site.calls);
+            site.elem_size = recorded(absint.dataset_elem_sizes(), site.site);
+          } else if (site.callee == "h5set_chunking") {
+            site.chunk_elements =
+                recorded(absint.chunk_elements(), site.site);
           }
           break;
         default:

@@ -61,6 +61,12 @@ struct SiteCost {
   Interval payload_per_call = Interval::constant(0);
   /// Total bytes across all calls and ranks (log writes: rank 0 only).
   Interval bytes = Interval::constant(0);
+  /// The dataset shape the linter's chunk check reads, as the abstract
+  /// interpreter recorded it: the element count an h5set_chunking site
+  /// declares, and the element size an h5dcreate site gives its dataset
+  /// (top when unknown). [0, 0] at every other site; part of no volume.
+  Interval chunk_elements = Interval::constant(0);
+  Interval elem_size = Interval::constant(0);
   /// A settings-tainted value reaches an argument, or the call executes
   /// under settings-tainted control.
   bool tainted = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -10,7 +9,6 @@
 
 #include "analysis/cfg.hpp"
 #include "analysis/dataflow.hpp"
-#include "common/error.hpp"
 #include "minic/parser.hpp"
 
 namespace tunio::analysis {
@@ -104,38 +102,14 @@ std::vector<std::pair<std::string, double>> LintReport::tuning_hints() const {
 
 namespace {
 
-/// `v` as int64, or nullopt when it does not fit. Folding computes in
-/// __int128 and treats a result outside int64 as "not a constant", as
-/// the abs_* operations treat it as top.
-std::optional<std::int64_t> fit(__int128 v) {
-  if (v < Interval::kMin || v > Interval::kMax) return std::nullopt;
-  return static_cast<std::int64_t>(v);
-}
-
-/// Per-function dataflow bundle the passes share.
-struct FunctionAnalysis {
-  const Function* function = nullptr;
-  std::unique_ptr<FunctionCfg> cfg;
-  std::unique_ptr<ReachingDefinitions> rd;
-  DefUseChains chains;
-};
-
 class Linter {
  public:
   explicit Linter(const Program& program)
       : program_(program), index_(program) {
-    for (const Function& fn : program.functions) {
-      FunctionAnalysis fa;
-      fa.function = &fn;
-      fa.cfg = std::make_unique<FunctionCfg>(build_cfg(fn));
-      fa.rd = std::make_unique<ReachingDefinitions>(fn, *fa.cfg);
-      fa.chains = build_def_use(fn, *fa.cfg, *fa.rd);
-      analyses_[&fn] = std::move(fa);
-    }
     compute_loop_residency();
-    // The cost model powers the interval fallbacks and the unbounded /
-    // settings-dependent passes; an unanalyzable program just loses
-    // those refinements (predict_cost never throws).
+    // Every byte size the checks judge comes from this one abstract
+    // interpretation; an unanalyzable program keeps its structural
+    // findings and loses the size-based ones (predict_cost never throws).
     report_.cost = predict_cost(program);
     for (const SiteCost& site : report_.cost.sites) {
       site_of_[site.site] = &site;
@@ -157,82 +131,6 @@ class Linter {
   }
 
  private:
-  // --- constant folding through reaching definitions ---------------------
-
-  /// Folds `expr` (evaluated at CFG node `node` of `fa`) to a constant,
-  /// resolving variables through their unique reaching definition. A
-  /// result outside int64 (including INT64_MIN / -1) is not a constant.
-  std::optional<std::int64_t> fold(const FunctionAnalysis& fa, int node,
-                                   const Expr& expr,
-                                   std::set<int>* visited) const {
-    switch (expr.kind) {
-      case ExprKind::kIntLit:
-        return expr.int_value;
-      case ExprKind::kUnary: {
-        if (expr.text != "-") return std::nullopt;
-        auto v = fold(fa, node, *expr.children[0], visited);
-        return v ? fit(-static_cast<__int128>(*v)) : std::nullopt;
-      }
-      case ExprKind::kBinary: {
-        auto a = fold(fa, node, *expr.children[0], visited);
-        auto b = fold(fa, node, *expr.children[1], visited);
-        if (!a || !b) return std::nullopt;
-        const __int128 x = *a;
-        const __int128 y = *b;
-        if (expr.text == "+") return fit(x + y);
-        if (expr.text == "-") return fit(x - y);
-        if (expr.text == "*") return fit(x * y);
-        if (expr.text == "/" && y != 0) return fit(x / y);
-        if (expr.text == "%" && y != 0) return fit(x % y);
-        return std::nullopt;
-      }
-      case ExprKind::kVar: {
-        const std::vector<int> defs = fa.rd->reaching(node, expr.text);
-        if (defs.size() != 1) return std::nullopt;  // ambiguous or unknown
-        const Definition& def = fa.rd->definitions()[defs[0]];
-        if (def.stmt_id < 0) return std::nullopt;  // parameter
-        if (visited->count(def.stmt_id)) return std::nullopt;
-        visited->insert(def.stmt_id);
-        const Stmt* def_stmt = index_.record(def.stmt_id).stmt;
-        if (def_stmt->value == nullptr) return std::nullopt;
-        return fold(fa, def.node, *def_stmt->value, visited);
-      }
-      default:
-        return std::nullopt;
-    }
-  }
-
-  std::optional<std::int64_t> fold_at(const FunctionAnalysis& fa, int stmt_id,
-                                      const Expr& expr) const {
-    const int node = fa.cfg->node_of(stmt_id);
-    if (node < 0) return std::nullopt;
-    std::set<int> visited;
-    return fold(fa, node, expr, &visited);
-  }
-
-  /// Element size of the dataset handle `handle` as used at `stmt_id`:
-  /// follows the handle's unique reaching definition to its h5dcreate and
-  /// folds the element-size argument.
-  std::optional<std::int64_t> elem_size_of(const FunctionAnalysis& fa,
-                                           int stmt_id,
-                                           const Expr& handle) const {
-    if (handle.kind != ExprKind::kVar) return std::nullopt;
-    const int node = fa.cfg->node_of(stmt_id);
-    if (node < 0) return std::nullopt;
-    const std::vector<int> defs = fa.rd->reaching(node, handle.text);
-    if (defs.size() != 1) return std::nullopt;
-    const Definition& def = fa.rd->definitions()[defs[0]];
-    if (def.stmt_id < 0) return std::nullopt;
-    const Stmt* def_stmt = index_.record(def.stmt_id).stmt;
-    if (def_stmt->value == nullptr ||
-        def_stmt->value->kind != ExprKind::kCall ||
-        def_stmt->value->text != "h5dcreate" ||
-        def_stmt->value->children.size() < 4) {
-      return std::nullopt;
-    }
-    return fold_at(fa, def.stmt_id, *def_stmt->value->children[2]);
-  }
-
   // --- loop residency ----------------------------------------------------
 
   /// A function is loop-resident when any of its call sites sits inside a
@@ -296,7 +194,6 @@ class Linter {
 
   void check_stmt(int id) {
     const StmtRecord& rec = index_.record(id);
-    const FunctionAnalysis& fa = analyses_.at(rec.function);
     const bool looped = in_loop(rec);
 
     for_each_own_expr(*rec.stmt, [&](const Expr& e) {
@@ -324,8 +221,8 @@ class Linter {
       }
 
       if (name == "fprintf_log" && e.children.size() == 2) {
-        const auto bytes = fold_at(fa, id, *e.children[1]);
-        if (looped && bytes && *bytes > 0 && *bytes < kSmallWriteBytes) {
+        const auto bytes = known_size(payload_of(e));
+        if (looped && bytes && *bytes < kSmallWriteBytes) {
           emit(LintKind::kSmallWritesInLoop, Severity::kWarning, e, rec,
                "log write of " + bytes_str(*bytes) +
                    " inside a loop; per-request overhead dominates at this "
@@ -336,7 +233,7 @@ class Linter {
       }
 
       if (name == "h5set_chunking" && e.children.size() == 1) {
-        check_chunking(fa, rec, id, e);
+        check_chunking(rec, id, e);
         return;
       }
 
@@ -346,32 +243,11 @@ class Linter {
       if (!strided && !bulk) return;
       const bool is_write = name.rfind("h5dwrite", 0) == 0;
 
-      std::optional<std::int64_t> bytes;
-      if (strided && e.children.size() == 3) {
-        const auto elems = fold_at(fa, id, *e.children[2]);
-        const auto elem_size = elem_size_of(fa, id, *e.children[0]);
-        if (elems && elem_size) bytes = fit(__int128{*elems} * *elem_size);
-      } else if (bulk && e.children.size() == 2) {
-        const auto per_rank = fold_at(fa, id, *e.children[1]);
-        const auto elem_size = elem_size_of(fa, id, *e.children[0]);
-        if (per_rank && elem_size) {
-          bytes = fit(__int128{*per_rank} * *elem_size);
-        }
-      }
-
-      // Interval fallback: where def-use folding fails (joined handles,
-      // interprocedural values), the abstract interpreter's per-site
-      // payload may still pin the size exactly — or bound it tightly
-      // enough for a definite verdict (see check_payload_bounds). A
-      // payload saturated at the int64 maximum is unbounded, not a size.
-      Interval payload = Interval::constant(0);
-      if (const SiteCost* site = site_of(e)) {
-        payload = site->payload_per_call;
-        if (!bytes && payload.is_constant() && payload.lo > 0 &&
-            payload.bounded_above()) {
-          bytes = payload.lo;
-        }
-      }
+      // A payload the abstract interpreter pins to one size is judged
+      // exactly; otherwise its bounds may still be tight enough for a
+      // definite verdict (see check_payload_bounds).
+      const Interval payload = payload_of(e);
+      const std::optional<std::int64_t> bytes = known_size(payload);
       if (!bytes) {
         check_payload_bounds(e, rec, payload, looped, is_write, bulk);
       }
@@ -384,7 +260,7 @@ class Linter {
                  "transfer would coalesce them",
              {"romio_collective", "cb_nodes", "cb_buffer_size"});
       }
-      if (bytes && *bytes > 0) {
+      if (bytes) {
         if (strided && *bytes % kStripeAlignment != 0) {
           emit(LintKind::kStripeUnalignedAccess, Severity::kWarning, e, rec,
                "strided block of " + bytes_str(*bytes) +
@@ -416,6 +292,22 @@ class Linter {
   const SiteCost* site_of(const Expr& call) const {
     const auto it = site_of_.find(&call);
     return it == site_of_.end() ? nullptr : it->second;
+  }
+
+  /// Per-rank bytes one call moves; [0, 0] where the cost model has no
+  /// site (an unanalyzable program, a call the solver never reached).
+  Interval payload_of(const Expr& call) const {
+    const SiteCost* site = site_of(call);
+    return site == nullptr ? Interval::constant(0) : site->payload_per_call;
+  }
+
+  /// The size an interval pins down, if it is one positive value. A
+  /// payload saturated at the int64 maximum is unbounded, not a size.
+  static std::optional<std::int64_t> known_size(const Interval& v) {
+    if (!v.is_constant() || v.lo <= 0 || !v.bounded_above()) {
+      return std::nullopt;
+    }
+    return v.lo;
   }
 
   /// Definite small/large verdicts from payload *intervals* when the
@@ -474,36 +366,44 @@ class Linter {
   }
 
   /// Chunk sizes are declared in elements; the element size comes from
-  /// the next h5dcreate in the same function (chunking is sticky state
-  /// applied to the next dataset created).
-  void check_chunking(const FunctionAnalysis& fa, const StmtRecord& rec,
-                      int id, const Expr& call) {
-    const auto elems = fold_at(fa, id, *call.children[0]);
-    if (!elems || *elems <= 0) return;
+  /// the next h5dcreate after the call in the same function whose
+  /// element size is known. The interpreter applies the pending chunk
+  /// size to every later h5dcreate, so this is a lexical approximation
+  /// that judges the chunk against the dataset most likely to take it.
+  void check_chunking(const StmtRecord& rec, int id, const Expr& call) {
+    const SiteCost* site = site_of(call);
+    if (site == nullptr || !site->chunk_elements.is_constant() ||
+        site->chunk_elements.lo <= 0) {
+      return;
+    }
     for (int other : index_.function_stmts(*rec.function)) {
       if (other <= id) continue;
       const Stmt* stmt = index_.record(other).stmt;
-      std::optional<std::int64_t> elem_size;
+      const SiteCost* create = nullptr;
       for_each_own_expr(*stmt, [&](const Expr& e) {
         if (e.kind == ExprKind::kCall && e.text == "h5dcreate" &&
-            e.children.size() >= 4 && !elem_size) {
-          elem_size = fold_at(fa, other, *e.children[2]);
+            e.children.size() >= 4 && create == nullptr) {
+          const SiteCost* candidate = site_of(e);
+          if (candidate != nullptr && candidate->elem_size.is_constant()) {
+            create = candidate;
+          }
         }
       });
-      if (!elem_size) continue;
-      // An overflowing size is unknown: 0 skips the check.
-      const std::int64_t chunk_bytes =
-          fit(__int128{*elems} * *elem_size).value_or(0);
-      if (chunk_bytes > 0 && chunk_bytes % kStripeAlignment != 0) {
+      if (create == nullptr) continue;
+      // An overflowing product is top, so its size is unknown.
+      const Interval chunk_bytes =
+          abs_mul(site->chunk_elements, create->elem_size);
+      if (chunk_bytes.is_constant() && chunk_bytes.lo > 0 &&
+          chunk_bytes.lo % kStripeAlignment != 0) {
         emit(LintKind::kStripeUnalignedAccess, Severity::kWarning, call, rec,
-             "chunk of " + bytes_str(chunk_bytes) +
+             "chunk of " + bytes_str(chunk_bytes.lo) +
                  " is not a multiple of the " +
                  std::to_string(kStripeAlignment) +
                  "-byte stripe unit; chunked accesses straddle OST "
                  "boundaries",
              {"alignment", "striping_unit", "chunk_cache"});
       }
-      return;  // only the next dataset inherits the pending chunk size
+      return;
     }
   }
 
@@ -511,8 +411,10 @@ class Linter {
   /// read. Assignments whose right-hand side calls a function are spared
   /// (the call's side effects may be the point).
   void check_dead_writes(const Function& fn) {
-    const FunctionAnalysis& fa = analyses_.at(&fn);
-    for (const auto& [def_id, uses] : fa.chains.def_to_uses) {
+    const FunctionCfg cfg = build_cfg(fn);
+    const ReachingDefinitions rd(fn, cfg);
+    const DefUseChains chains = build_def_use(fn, cfg, rd);
+    for (const auto& [def_id, uses] : chains.def_to_uses) {
       if (!uses.empty()) continue;
       const StmtRecord& rec = index_.record(def_id);
       if (rec.stmt->kind != StmtKind::kAssign) continue;
@@ -535,7 +437,6 @@ class Linter {
 
   const Program& program_;
   ProgramIndex index_;
-  std::unordered_map<const Function*, FunctionAnalysis> analyses_;
   std::set<const Function*> loop_resident_;
   std::unordered_map<const Expr*, const SiteCost*> site_of_;
   LintReport report_;

@@ -31,14 +31,17 @@
 //                             stream changes across configurations and
 //                             the record/replay fast path is disabled.
 //
-// Byte sizes are estimated by constant-folding call arguments; dataset
-// element sizes are recovered through def-use chains (the handle's
-// reaching h5dcreate). Where folding fails, the abstract interpreter's
-// per-site payload intervals (analysis/cost_model.hpp) take over:
-// a definite upper bound below the small-write threshold, or a definite
+// Byte sizes come from the one abstract interpretation `lint` runs
+// (analysis/cost_model.hpp): a site's per-call payload interval, and the
+// element counts and element sizes recorded at h5set_chunking and
+// h5dcreate. A payload pinned to one size is judged exactly; otherwise a
+// definite upper bound below the small-write threshold, or a definite
 // lower bound above the large-access threshold, still fires the
-// respective diagnostic. Loop context is interprocedural: a function
-// with any call site inside a loop is analyzed as loop-resident.
+// respective diagnostic. A program the abstract interpreter cannot
+// analyze (recursion, exhausted budgets) gets no size-based findings;
+// its structural ones remain. Loop context is interprocedural: a
+// function with any call site inside a loop is analyzed as
+// loop-resident.
 #pragma once
 
 #include <cstdint>

@@ -8,17 +8,14 @@
 // OST queue behind each other, while requests to different OSTs proceed
 // in parallel.
 //
-// A `SharedChannel` models a bandwidth-shared medium (the interconnect):
-// each transfer pays a fixed latency plus bytes/bandwidth, and aggregate
-// utilization is tracked so that sustained overload stretches transfers.
-//
 // The PFS simulator's per-stripe-piece loop (`PfsSimulator::serve_pieces`
-// in `pfs/pfs.cpp`) repeats `acquire`'s and `transfer`'s arithmetic on its
-// own plain OST queues and channel horizon, without a per-piece check or
-// count; a change to either model must be made there too.
+// in `pfs/pfs.cpp`) repeats `acquire`'s arithmetic on its own plain OST
+// queues, and models the interconnect inline as a bandwidth-shared
+// channel, without a per-piece check or count. The per-extent oracle in
+// `tests/pfs_test.cpp` keeps both as objects (`ResourceTimeline` and the
+// test-only `SharedChannel`); a change to either model must be made in
+// both places.
 #pragma once
-
-#include <cstdint>
 
 #include "common/units.hpp"
 
@@ -49,32 +46,6 @@ class ResourceTimeline {
  private:
   SimSeconds next_free_ = 0.0;
   SimSeconds busy_time_ = 0.0;
-};
-
-/// A bandwidth-shared channel with per-message latency.
-///
-/// Each transfer of `bytes` starting at `t` completes at
-/// `max(t, horizon_credit) + latency + bytes / bandwidth`, where the
-/// horizon models head-of-line pressure when offered load exceeds the
-/// channel's aggregate bandwidth.
-class SharedChannel {
- public:
-  SharedChannel(Bps aggregate_bandwidth, SimSeconds message_latency);
-
-  /// Schedules a transfer; returns its completion time.
-  SimSeconds transfer(SimSeconds start, Bytes bytes);
-
-  Bytes bytes_moved() const { return bytes_moved_; }
-  std::uint64_t transfers() const { return transfers_; }
-
-  void reset();
-
- private:
-  Bps bandwidth_;
-  SimSeconds latency_;
-  SimSeconds horizon_ = 0.0;  ///< time through which aggregate bw is spoken for
-  Bytes bytes_moved_ = 0;
-  std::uint64_t transfers_ = 0;
 };
 
 }  // namespace tunio

@@ -17,6 +17,11 @@
 //      the iterations of I/O loops and extrapolate the metrics) and I/O
 //      Path Switching (prepend a memory-tier prefix to every file path).
 //
+// Steps 2-5 are analysis::slice_io's def-use backward slice, which keeps
+// a definition only when it can reach a kept use. The paper's name-based
+// marking loop is the tests' oracle (tests/oracles/legacy_marker.hpp):
+// the slice's kept set must be a subset of the loop's.
+//
 // If the kernel fails to build, callers fall back to the full
 // application, as the paper specifies.
 #pragma once
@@ -60,16 +65,6 @@ struct KernelResult {
   /// realized per-loop reductions.
   int loop_reduction_divisor = 1;
 };
-
-/// The legacy name-based marking loop, kept as the differential tests'
-/// oracle: returns the ids of all statements that must be kept to
-/// preserve the program's I/O. It keeps every statement that defines a
-/// variable whose name is a dependent anywhere in the function, a coarser
-/// over-approximation than discovery's marking (analysis::slice_io,
-/// which keeps a definition only when it can *reach* a kept use); the
-/// tests check that the slicer's kept set is a subset of this one.
-std::set<int> mark_kept(const minic::Program& program,
-                        const std::vector<std::string>& io_prefixes);
 
 /// Full pipeline: mark (with analysis::slice_io), reconstruct, reduce.
 /// Throws tunio::Error when the program cannot be analyzed (it has no

@@ -281,7 +281,8 @@ SimSeconds PfsSimulator::serve_pieces(File& file, SimSeconds start,
   SimSeconds done = start;
   // One piece through the interconnect and its OST's queue: a write
   // crosses the network, then the OST services it; a read is serviced,
-  // then returns over the network. This is `SharedChannel::transfer` and
+  // then returns over the network. This is the per-extent oracle's
+  // channel transfer (`SharedChannel::transfer` in tests/oracles/) and
   // `ResourceTimeline::acquire`, operation for operation. Service times
   // are never negative (the constructor checks the OST profile), so no
   // piece checks its own, and nothing here can throw: `horizon` is

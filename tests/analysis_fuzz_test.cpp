@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "analysis/cost_model.hpp"
+#include "analysis/lint.hpp"
 #include "analysis/slicer.hpp"
 #include "common/rng.hpp"
 #include "config/space.hpp"
@@ -31,6 +34,7 @@
 #include "minic/parser.hpp"
 #include "minic/printer.hpp"
 #include "mpisim/mpisim.hpp"
+#include "oracles/legacy_marker.hpp"
 #include "pfs/pfs.hpp"
 #include "replay/invariance.hpp"
 #include "replay/optrace.hpp"
@@ -445,6 +449,51 @@ TEST(AnalysisFuzz, DifferentialOverRandomPrograms) {
   EXPECT_GT(recovered_programs, 0)
       << "no program exercised the taint-recovery (slicer-dependent but "
          "taint-invariant) path";
+}
+
+// --- linter output pin --------------------------------------------------
+
+std::string read_data(const std::string& name) {
+  std::ifstream in(std::string(TUNIO_TEST_DATA_DIR) + "/" + name);
+  EXPECT_TRUE(in) << "cannot read tests/data/" << name;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(Lint, FuzzCorpusReportsArePinned) {
+  // The linter's whole output on the fuzz corpus and on the chunking and
+  // folding regression inputs under tests/data/: FNV-1a over every
+  // format() line and every tuning_hints() name with its weight's bits,
+  // as Lint.WorkloadSourceReportsArePinned does for the built-in
+  // sources. A size the linter judges differently changes the hash.
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  const auto add = [&hash](const std::string& text) {
+    for (const unsigned char c : text) hash = (hash ^ c) * 0x100000001B3ull;
+    hash = (hash ^ '\n') * 0x100000001B3ull;
+  };
+  const auto add_report = [&add](const analysis::LintReport& report) {
+    for (const analysis::Diagnostic& d : report.diagnostics) {
+      add(analysis::format(d));
+    }
+    for (const auto& [param, weight] : report.tuning_hints()) {
+      add(param + "=" +
+          std::to_string(std::bit_cast<std::uint64_t>(weight)));
+    }
+  };
+  for (int seed = 1; seed <= kNumPrograms; ++seed) {
+    Generator generator(0xF022'0000u + static_cast<std::uint64_t>(seed));
+    add_report(analysis::lint_source(generator.generate()));
+  }
+  for (const char* name :
+       {"fold_int64_min_div.mc", "fold_mul_overflow.mc",
+        "lint_chunk_var.mc", "lint_chunk_param.mc", "lint_chunk_twice.mc",
+        "lint_chunk_no_create.mc", "lint_chunk_overflow.mc",
+        "lint_chunk_nonpositive.mc", "lint_chunk_elem_size.mc"}) {
+    add(name);
+    add_report(analysis::lint_source(read_data(name)));
+  }
+  EXPECT_EQ(hash, 0xF3289C218612976Cull);
 }
 
 }  // namespace

@@ -437,6 +437,39 @@ TEST(Lint, OpenCloseAndCreateOverwriteInLoop) {
       EXPECT_EQ(d.column, 13);
     }
   }
+
+  // The abstract interpreter cannot analyze a recursive helper, so the
+  // program has no static cost and no size-based finding: the 98304-byte
+  // strided block goes unjudged, while the loop and open/close findings
+  // remain. The same program is a CI input under tests/data/.
+  const LintReport recursive = lint_source(
+      R"(int fill(int file, int depth)
+{
+  if (depth > 0)
+  {
+    fill(file, depth - 1);
+  }
+  int ds = h5dcreate(file, "x" + depth, 8, 1048576);
+  h5dwrite_strided(ds, depth, 12288);
+  h5dclose(ds);
+  return 0;
+}
+
+int main()
+{
+  for (int i = 0; i < 4; i = i + 1)
+  {
+    int file = h5fcreate("/scratch/lint_recursive" + i);
+    fill(file, 2);
+    h5fclose(file);
+  }
+  return 0;
+})");
+  EXPECT_FALSE(recursive.cost.analyzable);
+  EXPECT_EQ(recursive.count(LintKind::kOpenCloseInLoop), 2u);
+  EXPECT_EQ(recursive.count(LintKind::kIndependentIoInLoop), 1u);
+  EXPECT_EQ(recursive.count(LintKind::kStripeUnalignedAccess), 0u);
+  EXPECT_EQ(recursive.diagnostics.size(), 3u);
 }
 
 TEST(Lint, StripeUnalignedChunkAndStridedBlock) {

@@ -13,6 +13,7 @@
 #include "common/stats.hpp"
 #include "common/timeline.hpp"
 #include "common/units.hpp"
+#include "oracles/shared_channel.hpp"
 
 namespace tunio {
 namespace {

@@ -12,6 +12,7 @@
 #include "interp/interp.hpp"
 #include "minic/parser.hpp"
 #include "minic/printer.hpp"
+#include "oracles/legacy_marker.hpp"
 #include "workloads/sources.hpp"
 
 namespace tunio::discovery {

@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "common/timeline.hpp"
 #include "obs/metrics.hpp"
+#include "oracles/shared_channel.hpp"
 #include "pfs/layout.hpp"
 #include "pfs/pfs.hpp"
 
