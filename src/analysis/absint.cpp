@@ -5,9 +5,11 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "minic/builtins.hpp"
 
 namespace tunio::analysis {
 
+using minic::Builtin;
 using minic::Expr;
 using minic::ExprKind;
 using minic::Function;
@@ -382,33 +384,14 @@ AbsValue AbstractInterpreter::eval_call(const Expr& call, const AbsEnv& env,
     return callee->result;
   }
 
-  // Builtins.
-  if (name.rfind("tuned_", 0) == 0) return AbsValue::top_tainted();
-  if (name == "mpi_size") {
-    AbsValue v;
-    v.range = mpi_ranks_;
-    return v;
+  // Unknown callee: the interpreter would trap; no value constraints, but
+  // any tuned_* name is taken to read the settings.
+  const std::optional<Builtin> builtin = minic::find_builtin(name);
+  if (!builtin) {
+    return name.starts_with(minic::kTunedPrefix) ? AbsValue::top_tainted()
+                                                 : AbsValue::top();
   }
-  if (name == "min" || name == "max") {
-    AbsValue v;
-    if (args.size() == 2) {
-      v.range = name == "min" ? abs_min(args[0].range, args[1].range)
-                              : abs_max(args[0].range, args[1].range);
-      v.tainted = arg_taint;
-    }
-    return v;
-  }
-  if (name == "reduced_iters") {
-    AbsValue v;
-    if (args.size() == 2) {
-      const Interval divisor =
-          abs_max(args[1].range, Interval::constant(1));
-      v.range = abs_max(abs_div(args[0].range, divisor),
-                        Interval::constant(1));
-      v.tainted = arg_taint;
-    }
-    return v;
-  }
+
   // Argument intervals recorded per call site, joined over every solver
   // evaluation (eval_at's read-only re-evaluations add nothing).
   const auto record = [&](std::map<const Expr*, Interval>& sites,
@@ -417,31 +400,61 @@ AbsValue AbstractInterpreter::eval_call(const Expr& call, const AbsEnv& env,
     const auto [it, fresh] = sites.try_emplace(&call, value);
     if (!fresh) it->second = it->second.join(value);
   };
-  if (name == "h5dcreate") {
-    AbsValue v;
-    v.tainted = arg_taint;
-    v.origins.insert(&call);
-    if (args.size() >= 3) record(elem_sizes_, args[2].range);
-    return v;
+  AbsValue v;
+  switch (*builtin) {
+    case Builtin::kMpiSize:
+      v.range = mpi_ranks_;
+      return v;
+    case Builtin::kMin:
+    case Builtin::kMax:
+      if (args.size() == 2) {
+        v.range = *builtin == Builtin::kMin
+                      ? abs_min(args[0].range, args[1].range)
+                      : abs_max(args[0].range, args[1].range);
+        v.tainted = arg_taint;
+      }
+      return v;
+    case Builtin::kReducedIters:
+      if (args.size() == 2) {
+        const Interval divisor =
+            abs_max(args[1].range, Interval::constant(1));
+        v.range = abs_max(abs_div(args[0].range, divisor),
+                          Interval::constant(1));
+        v.tainted = arg_taint;
+      }
+      return v;
+    case Builtin::kTunedStripeCount:
+    case Builtin::kTunedStripeSizeKib:
+    case Builtin::kTunedCbNodes:
+      return AbsValue::top_tainted();
+    case Builtin::kH5dcreate:
+      v.origins.insert(&call);
+      if (args.size() >= 3) record(elem_sizes_, args[2].range);
+      break;
+    case Builtin::kH5setChunking:
+      if (!args.empty()) record(chunk_elems_, args[0].range);
+      break;
+    case Builtin::kH5fcreate:
+    case Builtin::kH5fopen:
+    case Builtin::kH5fclose:
+    case Builtin::kH5dopen:
+    case Builtin::kH5dclose:
+    case Builtin::kH5dwriteAll:
+    case Builtin::kH5dreadAll:
+    case Builtin::kH5dwriteStrided:
+    case Builtin::kH5dreadStrided:
+    case Builtin::kFprintfLog:
+    case Builtin::kCompute:
+    case Builtin::kMpiBarrier:
+      break;
   }
-  if (name == "h5set_chunking" && !args.empty()) {
-    record(chunk_elems_, args[0].range);
+  // A handle index is top with unknown provenance (bar h5dcreate's own
+  // site); every other effect builtin returns int64{0}.
+  if (minic::builtin_info(*builtin).result == minic::BuiltinResult::kZero) {
+    v.range = Interval::constant(0);
   }
-  if (name == "h5fcreate" || name == "h5fopen" || name == "h5dopen") {
-    AbsValue v;  // handle index: top, unknown provenance
-    v.tainted = arg_taint;
-    return v;
-  }
-  if (name == "h5fclose" || name == "h5dclose" || name == "h5set_chunking" ||
-      name == "h5dwrite_all" || name == "h5dread_all" ||
-      name == "h5dwrite_strided" || name == "h5dread_strided" ||
-      name == "fprintf_log" || name == "compute" || name == "mpi_barrier") {
-    AbsValue v = AbsValue::constant(0);  // the interpreter returns int64{0}
-    v.tainted = arg_taint;
-    return v;
-  }
-  // Unknown callee: the interpreter would trap; no value constraints.
-  return AbsValue::top();
+  v.tainted = arg_taint;
+  return v;
 }
 
 AbsValue AbstractInterpreter::eval(const Expr& expr, const AbsEnv& env,

@@ -3,15 +3,18 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/error.hpp"
 
 namespace tunio::analysis {
 
+using minic::Builtin;
 using minic::Expr;
 using minic::ExprKind;
 using minic::Function;
+using minic::OpClass;
 using minic::Program;
 using minic::Stmt;
 using minic::StmtKind;
@@ -49,55 +52,6 @@ namespace {
 
 const Interval kOne = Interval::constant(1);
 
-enum class OpClass {
-  kNone,
-  kBulkWrite,
-  kBulkRead,
-  kStridedWrite,
-  kStridedRead,
-  kLogWrite,
-  kFileOpen,
-  kDatasetCreate,
-  kMetaOther,
-  kCompute,
-  kBarrier,
-};
-
-OpClass classify(const std::string& name) {
-  if (name == "h5dwrite_all") return OpClass::kBulkWrite;
-  if (name == "h5dread_all") return OpClass::kBulkRead;
-  if (name == "h5dwrite_strided") return OpClass::kStridedWrite;
-  if (name == "h5dread_strided") return OpClass::kStridedRead;
-  if (name == "fprintf_log") return OpClass::kLogWrite;
-  if (name == "h5fcreate" || name == "h5fopen") return OpClass::kFileOpen;
-  if (name == "h5dcreate") return OpClass::kDatasetCreate;
-  if (name == "h5dopen" || name == "h5dclose" || name == "h5fclose" ||
-      name == "h5set_chunking") {
-    return OpClass::kMetaOther;
-  }
-  if (name == "compute") return OpClass::kCompute;
-  if (name == "mpi_barrier") return OpClass::kBarrier;
-  return OpClass::kNone;
-}
-
-SiteKind site_kind(OpClass cls) {
-  switch (cls) {
-    case OpClass::kBulkWrite:
-    case OpClass::kStridedWrite:
-    case OpClass::kLogWrite:
-      return SiteKind::kWrite;
-    case OpClass::kBulkRead:
-    case OpClass::kStridedRead:
-      return SiteKind::kRead;
-    case OpClass::kCompute:
-      return SiteKind::kCompute;
-    case OpClass::kBarrier:
-      return SiteKind::kBarrier;
-    default:
-      return SiteKind::kMeta;
-  }
-}
-
 /// A return that may leave the function before later statements run:
 /// anything but the unconditional final top-level statement.
 bool has_early_return(const Function& fn) {
@@ -127,7 +81,8 @@ bool has_early_return(const Function& fn) {
 
 class CostWalker {
  public:
-  explicit CostWalker(const AbstractInterpreter& absint) : absint_(absint) {}
+  CostWalker(const Program& program, const AbstractInterpreter& absint)
+      : program_(program), absint_(absint) {}
 
   void run(const FunctionContext& main) { walk_context(main, kOne, 0); }
 
@@ -242,23 +197,21 @@ class CostWalker {
     }
     if (expr.kind != ExprKind::kCall) return;
 
-    if (const FunctionContext* const* found = lookup(ctx, expr)) {
-      walk_context(**found, floored(exec, floor_zero), depth + 1);
+    const auto callee = ctx.call_targets.find(&expr);
+    if (callee != ctx.call_targets.end()) {
+      walk_context(*callee->second, floored(exec, floor_zero), depth + 1);
       return;
     }
-    const OpClass cls = classify(expr.text);
-    if (cls == OpClass::kNone) return;
-    record_site(ctx, stmt, expr, cls, floored(exec, floor_zero));
-  }
-
-  const FunctionContext* const* lookup(const FunctionContext& ctx,
-                                       const Expr& expr) const {
-    const auto it = ctx.call_targets.find(&expr);
-    return it == ctx.call_targets.end() ? nullptr : &it->second;
+    const std::optional<Builtin> builtin =
+        minic::resolve_builtin(program_, expr.text);
+    if (!builtin || minic::builtin_info(*builtin).op == OpClass::kNone) {
+      return;
+    }
+    record_site(ctx, stmt, expr, *builtin, floored(exec, floor_zero));
   }
 
   void record_site(const FunctionContext& ctx, const Stmt& stmt,
-                   const Expr& call, OpClass cls, const Interval& exec) {
+                   const Expr& call, Builtin builtin, const Interval& exec) {
     SiteCost& site = sites_[&call];
     if (site.site == nullptr) {
       site.site = &call;
@@ -267,7 +220,7 @@ class CostWalker {
       site.col = call.col;
       site.function = ctx.function->name;
       site.callee = call.text;
-      site.kind = site_kind(cls);
+      site.builtin = builtin;
     }
     site.calls = count_add(site.calls, exec);
     site.in_loop = site.in_loop || exec.hi > 1 || !exec.bounded_above();
@@ -284,36 +237,47 @@ class CostWalker {
 
     Interval payload = Interval::constant(0);
     Interval rank_mult = kOne;
-    switch (cls) {
+    const minic::BuiltinInfo& info = minic::builtin_info(builtin);
+    const bool all_args = call.children.size() >= info.arity;
+    switch (info.op) {
       case OpClass::kBulkWrite:
       case OpClass::kBulkRead:
-        if (call.children.size() >= 2) {
-          const AbsValue handle =
-              absint_.eval_at(ctx, stmt.id, *call.children[0]);
-          const Interval per =
-              absint_.eval_at(ctx, stmt.id, *call.children[1]).range;
-          payload = count_mul(per, absint_.elem_size_of(handle));
-          rank_mult = absint_.mpi_ranks();
-        }
-        break;
       case OpClass::kStridedWrite:
       case OpClass::kStridedRead:
-        if (call.children.size() >= 3) {
+        site.kind = info.op == OpClass::kBulkWrite ||
+                            info.op == OpClass::kStridedWrite
+                        ? SiteKind::kWrite
+                        : SiteKind::kRead;
+        if (all_args) {
+          // (d, per_rank) or (d, block, elems): the last argument is the
+          // element count each rank moves.
           const AbsValue handle =
               absint_.eval_at(ctx, stmt.id, *call.children[0]);
           const Interval elems =
-              absint_.eval_at(ctx, stmt.id, *call.children[2]).range;
+              absint_.eval_at(ctx, stmt.id, *call.children[info.arity - 1])
+                  .range;
           payload = count_mul(elems, absint_.elem_size_of(handle));
           rank_mult = absint_.mpi_ranks();
         }
         break;
       case OpClass::kLogWrite:
-        if (call.children.size() >= 2) {
+        site.kind = SiteKind::kWrite;
+        if (all_args) {
           payload = count_clamp(
               absint_.eval_at(ctx, stmt.id, *call.children[1]).range);
         }
         break;
-      default:
+      case OpClass::kCompute:
+        site.kind = SiteKind::kCompute;
+        break;
+      case OpClass::kBarrier:
+        site.kind = SiteKind::kBarrier;
+        break;
+      case OpClass::kNone:
+      case OpClass::kFileOpen:
+      case OpClass::kDatasetCreate:
+      case OpClass::kMetaOther:
+        site.kind = SiteKind::kMeta;
         break;
     }
     if (site.kind == SiteKind::kWrite || site.kind == SiteKind::kRead) {
@@ -325,6 +289,7 @@ class CostWalker {
     }
   }
 
+  const Program& program_;
   const AbstractInterpreter& absint_;
   std::map<const Expr*, SiteCost> sites_;
   std::set<const Expr*> payload_seen_;
@@ -338,7 +303,7 @@ ProgramCost predict_cost(const Program& program, Interval mpi_ranks) {
   try {
     AbstractInterpreter absint(program, mpi_ranks);
     const FunctionContext& main = absint.analyze_main();
-    CostWalker walker(absint);
+    CostWalker walker(program, absint);
     walker.run(main);
     out.sites = walker.take_sites();
     out.tainted_control_exit = walker.tainted_control_exit();
@@ -361,12 +326,12 @@ ProgramCost predict_cost(const Program& program, Interval mpi_ranks) {
           out.bytes_read = count_add(out.bytes_read, site.bytes);
           break;
         case SiteKind::kMeta:
-          if (site.callee == "h5fcreate" || site.callee == "h5fopen") {
+          if (minic::builtin_info(site.builtin).op == OpClass::kFileOpen) {
             out.file_opens = count_add(out.file_opens, site.calls);
-          } else if (site.callee == "h5dcreate") {
+          } else if (site.builtin == Builtin::kH5dcreate) {
             out.dataset_creates = count_add(out.dataset_creates, site.calls);
             site.elem_size = recorded(absint.dataset_elem_sizes(), site.site);
-          } else if (site.callee == "h5set_chunking") {
+          } else if (site.builtin == Builtin::kH5setChunking) {
             site.chunk_elements =
                 recorded(absint.chunk_elements(), site.site);
           }
@@ -398,10 +363,10 @@ std::vector<std::pair<std::string, double>> static_impact(
     if (site.kind != SiteKind::kWrite && site.kind != SiteKind::kRead) {
       continue;
     }
-    const bool bulk = site.callee == "h5dwrite_all" ||
-                      site.callee == "h5dread_all";
-    const bool strided = site.callee == "h5dwrite_strided" ||
-                         site.callee == "h5dread_strided";
+    const OpClass op = minic::builtin_info(site.builtin).op;
+    const bool bulk = op == OpClass::kBulkWrite || op == OpClass::kBulkRead;
+    const bool strided =
+        op == OpClass::kStridedWrite || op == OpClass::kStridedRead;
     if (bulk && site.payload_per_call.lo >= kLargeAccessBytes) {
       large_contiguous = true;
     }

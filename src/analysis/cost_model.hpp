@@ -28,6 +28,7 @@
 
 #include "analysis/absint.hpp"
 #include "minic/ast.hpp"
+#include "minic/builtins.hpp"
 
 namespace tunio::analysis {
 
@@ -53,6 +54,8 @@ struct SiteCost {
   int col = 0;
   std::string function;  ///< enclosing mini-C function
   std::string callee;    ///< builtin name
+  /// The builtin `callee` resolved to.
+  minic::Builtin builtin = minic::Builtin::kH5fcreate;
   SiteKind kind = SiteKind::kMeta;
   /// Times this call executes across the whole program.
   Interval calls = Interval::constant(0);

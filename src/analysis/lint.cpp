@@ -9,13 +9,16 @@
 
 #include "analysis/cfg.hpp"
 #include "analysis/dataflow.hpp"
+#include "minic/builtins.hpp"
 #include "minic/parser.hpp"
 
 namespace tunio::analysis {
 
+using minic::Builtin;
 using minic::Expr;
 using minic::ExprKind;
 using minic::Function;
+using minic::OpClass;
 using minic::Program;
 using minic::Stmt;
 using minic::StmtKind;
@@ -198,95 +201,117 @@ class Linter {
 
     for_each_own_expr(*rec.stmt, [&](const Expr& e) {
       if (e.kind != ExprKind::kCall) return;
-      const std::string& name = e.text;
-
-      if (name == "h5fcreate" || name == "h5fopen" || name == "h5fclose") {
-        if (looped) {
+      const std::optional<Builtin> builtin =
+          minic::resolve_builtin(program_, e.text);
+      if (!builtin) return;
+      switch (*builtin) {
+        case Builtin::kH5fcreate:
+        case Builtin::kH5fopen:
+        case Builtin::kH5fclose:
+          if (!looped) return;
           emit(LintKind::kOpenCloseInLoop, Severity::kWarning, e, rec,
-               name + " inside a loop: per-iteration open/close churn "
-                      "round-trips the metadata server",
+               e.text + " inside a loop: per-iteration open/close churn "
+                        "round-trips the metadata server",
                {"mdc_config", "meta_block_size", "coll_metadata_ops",
                 "coll_metadata_write"});
+          if (*builtin == Builtin::kH5fcreate && !e.children.empty() &&
+              e.children[0]->kind == ExprKind::kStringLit) {
+            emit(LintKind::kCreateOverwriteInLoop, Severity::kError, e, rec,
+                 e.text + "(\"" + e.children[0]->text +
+                     "\") recreates the same file every iteration, "
+                     "overwriting previously written data",
+                 {"mdc_config", "meta_block_size", "coll_metadata_ops",
+                  "coll_metadata_write"});
+          }
+          return;
+        case Builtin::kFprintfLog: {
+          if (e.children.size() != 2) return;
+          const auto bytes = known_size(payload_of(e));
+          if (looped && bytes && *bytes < kSmallWriteBytes) {
+            emit(LintKind::kSmallWritesInLoop, Severity::kWarning, e, rec,
+                 "log write of " + bytes_str(*bytes) +
+                     " inside a loop; per-request overhead dominates at "
+                     "this size — aggregate or buffer",
+                 {"cb_buffer_size", "sieve_buf_size", "striping_unit"});
+          }
+          return;
         }
-        if (name == "h5fcreate" && looped && !e.children.empty() &&
-            e.children[0]->kind == ExprKind::kStringLit) {
-          emit(LintKind::kCreateOverwriteInLoop, Severity::kError, e, rec,
-               "h5fcreate(\"" + e.children[0]->text +
-                   "\") recreates the same file every iteration, "
-                   "overwriting previously written data",
-               {"mdc_config", "meta_block_size", "coll_metadata_ops",
-                "coll_metadata_write"});
-        }
-        return;
-      }
-
-      if (name == "fprintf_log" && e.children.size() == 2) {
-        const auto bytes = known_size(payload_of(e));
-        if (looped && bytes && *bytes < kSmallWriteBytes) {
-          emit(LintKind::kSmallWritesInLoop, Severity::kWarning, e, rec,
-               "log write of " + bytes_str(*bytes) +
-                   " inside a loop; per-request overhead dominates at this "
-                   "size — aggregate or buffer",
-               {"cb_buffer_size", "sieve_buf_size", "striping_unit"});
-        }
-        return;
-      }
-
-      if (name == "h5set_chunking" && e.children.size() == 1) {
-        check_chunking(rec, id, e);
-        return;
-      }
-
-      const bool strided =
-          name == "h5dwrite_strided" || name == "h5dread_strided";
-      const bool bulk = name == "h5dwrite_all" || name == "h5dread_all";
-      if (!strided && !bulk) return;
-      const bool is_write = name.rfind("h5dwrite", 0) == 0;
-
-      // A payload the abstract interpreter pins to one size is judged
-      // exactly; otherwise its bounds may still be tight enough for a
-      // definite verdict (see check_payload_bounds).
-      const Interval payload = payload_of(e);
-      const std::optional<std::int64_t> bytes = known_size(payload);
-      if (!bytes) {
-        check_payload_bounds(e, rec, payload, looped, is_write, bulk);
-      }
-
-      if (strided && looped) {
-        emit(LintKind::kIndependentIoInLoop, Severity::kWarning, e, rec,
-             "per-block strided " +
-                 std::string(is_write ? "write" : "read") +
-                 " inside a loop issues independent requests; a collective "
-                 "transfer would coalesce them",
-             {"romio_collective", "cb_nodes", "cb_buffer_size"});
-      }
-      if (bytes) {
-        if (strided && *bytes % kStripeAlignment != 0) {
-          emit(LintKind::kStripeUnalignedAccess, Severity::kWarning, e, rec,
-               "strided block of " + bytes_str(*bytes) +
-                   " is not a multiple of the " +
-                   std::to_string(kStripeAlignment) +
-                   "-byte stripe unit; accesses straddle OST boundaries",
-               {"alignment", "striping_unit", "chunk_cache"});
-        }
-        if (looped && is_write && *bytes < kSmallWriteBytes) {
-          emit(LintKind::kSmallWritesInLoop, Severity::kWarning, e, rec,
-               "write of " + bytes_str(*bytes) +
-                   " inside a loop; per-request overhead dominates at this "
-                   "size — aggregate or buffer",
-               {"cb_buffer_size", "sieve_buf_size", "striping_unit"});
-        }
-        if (bulk && *bytes >= kLargeAccessBytes) {
-          emit(LintKind::kContiguousLargeAccess, Severity::kInfo, e, rec,
-               "contiguous " + std::string(is_write ? "write" : "read") +
-                   " of " + bytes_str(*bytes) +
-                   " per rank; access is contiguous-large, so stripe-level "
-                   "parallelism dominates — prioritize striping_factor / "
-                   "cb_nodes",
-               {"striping_factor", "cb_nodes", "striping_unit"});
-        }
+        case Builtin::kH5setChunking:
+          if (e.children.size() == 1) check_chunking(rec, id, e);
+          return;
+        case Builtin::kH5dwriteAll:
+        case Builtin::kH5dreadAll:
+        case Builtin::kH5dwriteStrided:
+        case Builtin::kH5dreadStrided:
+          check_transfer(e, rec, minic::builtin_info(*builtin).op, looped);
+          return;
+        case Builtin::kH5dcreate:
+        case Builtin::kH5dopen:
+        case Builtin::kH5dclose:
+        case Builtin::kCompute:
+        case Builtin::kMpiSize:
+        case Builtin::kMpiBarrier:
+        case Builtin::kTunedStripeCount:
+        case Builtin::kTunedStripeSizeKib:
+        case Builtin::kTunedCbNodes:
+        case Builtin::kMin:
+        case Builtin::kMax:
+        case Builtin::kReducedIters:
+          return;
       }
     });
+  }
+
+  /// Request-size and access-pattern checks on one dataset transfer.
+  void check_transfer(const Expr& e, const StmtRecord& rec, OpClass op,
+                      bool looped) {
+    const bool strided =
+        op == OpClass::kStridedWrite || op == OpClass::kStridedRead;
+    const bool bulk = !strided;
+    const bool is_write =
+        op == OpClass::kBulkWrite || op == OpClass::kStridedWrite;
+
+    // A payload the abstract interpreter pins to one size is judged
+    // exactly; otherwise its bounds may still be tight enough for a
+    // definite verdict (see check_payload_bounds).
+    const Interval payload = payload_of(e);
+    const std::optional<std::int64_t> bytes = known_size(payload);
+    if (!bytes) {
+      check_payload_bounds(e, rec, payload, looped, is_write, bulk);
+    }
+
+    if (strided && looped) {
+      emit(LintKind::kIndependentIoInLoop, Severity::kWarning, e, rec,
+           "per-block strided " + std::string(is_write ? "write" : "read") +
+               " inside a loop issues independent requests; a collective "
+               "transfer would coalesce them",
+           {"romio_collective", "cb_nodes", "cb_buffer_size"});
+    }
+    if (!bytes) return;
+    if (strided && *bytes % kStripeAlignment != 0) {
+      emit(LintKind::kStripeUnalignedAccess, Severity::kWarning, e, rec,
+           "strided block of " + bytes_str(*bytes) +
+               " is not a multiple of the " +
+               std::to_string(kStripeAlignment) +
+               "-byte stripe unit; accesses straddle OST boundaries",
+           {"alignment", "striping_unit", "chunk_cache"});
+    }
+    if (looped && is_write && *bytes < kSmallWriteBytes) {
+      emit(LintKind::kSmallWritesInLoop, Severity::kWarning, e, rec,
+           "write of " + bytes_str(*bytes) +
+               " inside a loop; per-request overhead dominates at this "
+               "size — aggregate or buffer",
+           {"cb_buffer_size", "sieve_buf_size", "striping_unit"});
+    }
+    if (bulk && *bytes >= kLargeAccessBytes) {
+      emit(LintKind::kContiguousLargeAccess, Severity::kInfo, e, rec,
+           "contiguous " + std::string(is_write ? "write" : "read") + " of " +
+               bytes_str(*bytes) +
+               " per rank; access is contiguous-large, so stripe-level "
+               "parallelism dominates — prioritize striping_factor / "
+               "cb_nodes",
+           {"striping_factor", "cb_nodes", "striping_unit"});
+    }
   }
 
   const SiteCost* site_of(const Expr& call) const {
@@ -381,12 +406,11 @@ class Linter {
       const Stmt* stmt = index_.record(other).stmt;
       const SiteCost* create = nullptr;
       for_each_own_expr(*stmt, [&](const Expr& e) {
-        if (e.kind == ExprKind::kCall && e.text == "h5dcreate" &&
-            e.children.size() >= 4 && create == nullptr) {
-          const SiteCost* candidate = site_of(e);
-          if (candidate != nullptr && candidate->elem_size.is_constant()) {
-            create = candidate;
-          }
+        if (e.kind != ExprKind::kCall || create != nullptr) return;
+        const SiteCost* candidate = site_of(e);
+        if (candidate != nullptr && candidate->builtin == Builtin::kH5dcreate &&
+            e.children.size() >= 4 && candidate->elem_size.is_constant()) {
+          create = candidate;
         }
       });
       if (create == nullptr) continue;

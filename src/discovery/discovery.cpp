@@ -6,6 +6,7 @@
 
 #include "analysis/slicer.hpp"
 #include "common/error.hpp"
+#include "minic/builtins.hpp"
 #include "minic/parser.hpp"
 #include "minic/printer.hpp"
 
@@ -126,7 +127,7 @@ void apply_loop_reduction(Stmt& stmt, int divisor,
     auto call = std::make_unique<Expr>();
     call->kind = ExprKind::kCall;
     call->line = stmt.cond->line;
-    call->text = "reduced_iters";
+    call->text = minic::builtin_info(minic::Builtin::kReducedIters).name;
     call->children.push_back(std::move(stmt.cond->children[1]));
     auto divisor_lit = std::make_unique<Expr>();
     divisor_lit->kind = ExprKind::kIntLit;

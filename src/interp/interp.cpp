@@ -10,10 +10,12 @@
 
 #include "common/error.hpp"
 #include "discovery/discovery.hpp"
+#include "minic/builtins.hpp"
 #include "workloads/ops.hpp"
 
 namespace tunio::interp {
 
+using minic::Builtin;
 using minic::Expr;
 using minic::ExprKind;
 using minic::Function;
@@ -314,7 +316,7 @@ class Interpreter {
     args.reserve(call.children.size());
     for (const auto& arg : call.children) args.push_back(eval(*arg));
 
-    // User-defined functions shadow nothing; builtins are checked first.
+    // A function the program defines shadows the builtin of that name.
     if (const Function* fn = program_.find(call.text)) {
       if (fn->params.size() != args.size()) {
         fail(call.line, "arity mismatch calling " + call.text);
@@ -329,14 +331,14 @@ class Interpreter {
       --call_depth_;
       return ret.value_or(Value(std::int64_t{0}));
     }
-    return call_builtin(call, args);
-  }
-
-  void need_args(const Expr& call, std::size_t n) {
-    if (call.children.size() != n) {
-      fail(call.line, call.text + " expects " + std::to_string(n) +
+    const std::optional<Builtin> builtin = minic::find_builtin(call.text);
+    if (!builtin) fail(call.line, "unknown function " + call.text);
+    const std::size_t arity = minic::builtin_info(*builtin).arity;
+    if (args.size() != arity) {
+      fail(call.line, call.text + " expects " + std::to_string(arity) +
                           " argument(s)");
     }
+    return call_builtin(*builtin, call, args);
   }
 
   /// Translates a program path into a simulator path; the bool is true
@@ -346,20 +348,15 @@ class Interpreter {
             raw.rfind(discovery::kMemoryPathPrefix, 0) == 0};
   }
 
-  std::vector<h5::Selection> slab_selections(std::uint64_t per_rank,
-                                             std::uint64_t base = 0) {
+  /// One collective dataset transfer, metered as its own read or write
+  /// phase: rank r moves the `elems` elements of run `first_run + r`.
+  void transfer(bool is_write, std::uint32_t dataset, std::uint64_t first_run,
+                std::uint64_t elems) {
     std::vector<h5::Selection> selections;
     selections.reserve(mpi_.size());
     for (unsigned r = 0; r < mpi_.size(); ++r) {
-      selections.push_back({r, base + r * per_rank, per_rank});
+      selections.push_back({r, (first_run + r) * elems, elems});
     }
-    return selections;
-  }
-
-  /// One collective dataset transfer, metered as its own read or write
-  /// phase.
-  void transfer(bool is_write, std::uint32_t dataset,
-                const std::vector<h5::Selection>& selections) {
     exec_.phase(is_write ? trace::Phase::kWrite : trace::Phase::kRead);
     if (is_write) {
       exec_.write(dataset, selections, /*collective=*/true);
@@ -367,16 +364,6 @@ class Interpreter {
       exec_.read(dataset, selections, /*collective=*/true);
     }
     exec_.phase(trace::Phase::kOther);
-  }
-
-  std::vector<h5::Selection> strided_selections(std::uint64_t block,
-                                                std::uint64_t elems) {
-    std::vector<h5::Selection> selections;
-    selections.reserve(mpi_.size());
-    for (unsigned r = 0; r < mpi_.size(); ++r) {
-      selections.push_back({r, (block * mpi_.size() + r) * elems, elems});
-    }
-    return selections;
   }
 
   std::uint32_t file_handle(const Value& v, int line) {
@@ -396,121 +383,107 @@ class Interpreter {
     return static_cast<std::uint32_t>(handle);
   }
 
-  Value call_builtin(const Expr& call, std::vector<Value>& args) {
-    const std::string& name = call.text;
+  /// Runs `builtin` on arguments already checked against its arity.
+  Value call_builtin(Builtin builtin, const Expr& call,
+                     const std::vector<Value>& args) {
     const int line = call.line;
-
-    if (name == "h5fcreate" || name == "h5fopen") {
-      need_args(call, 1);
-      const auto [path, memory_tier] = resolve_path(as_string(args[0], line));
-      return std::int64_t{exec_.create_file(path, memory_tier)};
-    }
-    if (name == "h5fclose") {
-      need_args(call, 1);
-      exec_.close_file(file_handle(args[0], line));
-      return std::int64_t{0};
-    }
-    if (name == "h5set_chunking") {
-      need_args(call, 1);
-      pending_chunk_elements_ = as_int(args[0], line);
-      return std::int64_t{0};
-    }
-    if (name == "h5dcreate") {
-      need_args(call, 4);
-      const std::uint32_t file = file_handle(args[0], line);
-      return std::int64_t{exec_.create_dataset(
-          file, as_string(args[1], line),
-          static_cast<Bytes>(as_int(args[2], line)),
-          static_cast<std::uint64_t>(as_int(args[3], line)),
-          static_cast<std::uint64_t>(
-              std::max<std::int64_t>(0, pending_chunk_elements_)))};
-    }
-    if (name == "h5dopen") {
-      need_args(call, 2);
-      const std::uint32_t file = file_handle(args[0], line);
-      return std::int64_t{
-          exec_.open_dataset(file, as_string(args[1], line))};
-    }
-    if (name == "h5dclose") {
-      need_args(call, 1);
-      exec_.flush_dataset(dataset_handle(args[0], line));
-      return std::int64_t{0};
-    }
-    if (name == "h5dwrite_all" || name == "h5dread_all") {
-      need_args(call, 2);
-      const std::uint32_t ds = dataset_handle(args[0], line);
-      const auto per_rank = static_cast<std::uint64_t>(as_int(args[1], line));
-      transfer(name == "h5dwrite_all", ds, slab_selections(per_rank));
-      return std::int64_t{0};
-    }
-    if (name == "h5dwrite_strided" || name == "h5dread_strided") {
-      need_args(call, 3);
-      const std::uint32_t ds = dataset_handle(args[0], line);
-      const auto block = static_cast<std::uint64_t>(as_int(args[1], line));
-      const auto elems = static_cast<std::uint64_t>(as_int(args[2], line));
-      transfer(name == "h5dwrite_strided", ds,
-               strided_selections(block, elems));
-      return std::int64_t{0};
-    }
-    if (name == "fprintf_log") {
-      need_args(call, 2);
-      const auto [path, memory_tier] = resolve_path(as_string(args[0], line));
-      exec_.phase(trace::Phase::kWrite);
-      exec_.log_write(path, static_cast<Bytes>(as_int(args[1], line)),
-                      memory_tier);
-      exec_.phase(trace::Phase::kOther);
-      return std::int64_t{0};
-    }
-    if (name == "compute") {
-      need_args(call, 1);
-      const double seconds = as_double(args[0], line);
-      if (seconds > 0.0) exec_.compute(seconds, compute_salt_++);
-      return std::int64_t{0};
-    }
-    if (name == "mpi_size") {
-      need_args(call, 0);
-      return static_cast<std::int64_t>(mpi_.size());
-    }
-    if (name == "mpi_barrier") {
-      need_args(call, 0);
-      exec_.barrier();
-      return std::int64_t{0};
-    }
-    if (name == "tuned_stripe_count") {
+    switch (builtin) {
+      case Builtin::kH5fcreate:
+      case Builtin::kH5fopen: {
+        const auto [path, memory_tier] =
+            resolve_path(as_string(args[0], line));
+        return std::int64_t{exec_.create_file(path, memory_tier)};
+      }
+      case Builtin::kH5fclose:
+        exec_.close_file(file_handle(args[0], line));
+        break;
+      case Builtin::kH5setChunking:
+        pending_chunk_elements_ = as_int(args[0], line);
+        break;
+      case Builtin::kH5dcreate: {
+        const std::uint32_t file = file_handle(args[0], line);
+        return std::int64_t{exec_.create_dataset(
+            file, as_string(args[1], line),
+            static_cast<Bytes>(as_int(args[2], line)),
+            static_cast<std::uint64_t>(as_int(args[3], line)),
+            static_cast<std::uint64_t>(
+                std::max<std::int64_t>(0, pending_chunk_elements_)))};
+      }
+      case Builtin::kH5dopen: {
+        const std::uint32_t file = file_handle(args[0], line);
+        return std::int64_t{
+            exec_.open_dataset(file, as_string(args[1], line))};
+      }
+      case Builtin::kH5dclose:
+        exec_.flush_dataset(dataset_handle(args[0], line));
+        break;
+      case Builtin::kH5dwriteAll:
+      case Builtin::kH5dreadAll: {
+        const std::uint32_t ds = dataset_handle(args[0], line);
+        const auto per_rank =
+            static_cast<std::uint64_t>(as_int(args[1], line));
+        transfer(builtin == Builtin::kH5dwriteAll, ds, 0, per_rank);
+        break;
+      }
+      case Builtin::kH5dwriteStrided:
+      case Builtin::kH5dreadStrided: {
+        const std::uint32_t ds = dataset_handle(args[0], line);
+        const auto block = static_cast<std::uint64_t>(as_int(args[1], line));
+        const auto elems = static_cast<std::uint64_t>(as_int(args[2], line));
+        transfer(builtin == Builtin::kH5dwriteStrided, ds,
+                 block * mpi_.size(), elems);
+        break;
+      }
+      case Builtin::kFprintfLog: {
+        const auto [path, memory_tier] =
+            resolve_path(as_string(args[0], line));
+        exec_.phase(trace::Phase::kWrite);
+        exec_.log_write(path, static_cast<Bytes>(as_int(args[1], line)),
+                        memory_tier);
+        exec_.phase(trace::Phase::kOther);
+        break;
+      }
+      case Builtin::kCompute: {
+        const double seconds = as_double(args[0], line);
+        if (seconds > 0.0) exec_.compute(seconds, compute_salt_++);
+        break;
+      }
+      case Builtin::kMpiSize:
+        return static_cast<std::int64_t>(mpi_.size());
+      case Builtin::kMpiBarrier:
+        exec_.barrier();
+        break;
       // Reading a tuned_* builtin makes the kernel settings-dependent: its
-      // op stream may differ per configuration, so the replay fast path must
-      // not be used (replay::settings_dependent detects these statically).
-      need_args(call, 0);
-      return static_cast<std::int64_t>(settings_.lustre.stripe_count.value_or(
-          fs_.profile().default_stripe_count));
+      // op stream may differ per configuration, so the replay fast path
+      // must not be used (replay::settings_dependent detects these
+      // statically).
+      case Builtin::kTunedStripeCount:
+        return static_cast<std::int64_t>(settings_.lustre.stripe_count.value_or(
+            fs_.profile().default_stripe_count));
+      case Builtin::kTunedStripeSizeKib: {
+        const Bytes stripe = settings_.lustre.stripe_size.value_or(
+            fs_.profile().default_stripe_size);
+        return static_cast<std::int64_t>(stripe / 1024);
+      }
+      case Builtin::kTunedCbNodes:
+        return static_cast<std::int64_t>(settings_.mpiio.cb_nodes);
+      case Builtin::kMin:
+      case Builtin::kMax: {
+        const std::int64_t a = as_int(args[0], line);
+        const std::int64_t b = as_int(args[1], line);
+        return builtin == Builtin::kMin ? std::min(a, b) : std::max(a, b);
+      }
+      case Builtin::kReducedIters: {
+        const std::int64_t n = as_int(args[0], line);
+        const std::int64_t divisor = std::max<std::int64_t>(
+            1, as_int(args[1], line));
+        const std::int64_t reduced = std::max<std::int64_t>(1, n / divisor);
+        reduction_factors_[&call] =
+            static_cast<double>(n) / static_cast<double>(reduced);
+        return reduced;
+      }
     }
-    if (name == "tuned_stripe_size_kib") {
-      need_args(call, 0);
-      const Bytes stripe = settings_.lustre.stripe_size.value_or(
-          fs_.profile().default_stripe_size);
-      return static_cast<std::int64_t>(stripe / 1024);
-    }
-    if (name == "tuned_cb_nodes") {
-      need_args(call, 0);
-      return static_cast<std::int64_t>(settings_.mpiio.cb_nodes);
-    }
-    if (name == "min" || name == "max") {
-      need_args(call, 2);
-      const std::int64_t a = as_int(args[0], line);
-      const std::int64_t b = as_int(args[1], line);
-      return name == "min" ? std::min(a, b) : std::max(a, b);
-    }
-    if (name == "reduced_iters") {
-      need_args(call, 2);
-      const std::int64_t n = as_int(args[0], line);
-      const std::int64_t divisor = std::max<std::int64_t>(
-          1, as_int(args[1], line));
-      const std::int64_t reduced = std::max<std::int64_t>(1, n / divisor);
-      reduction_factors_[&call] =
-          static_cast<double>(n) / static_cast<double>(reduced);
-      return reduced;
-    }
-    fail(line, "unknown function " + name);
+    return std::int64_t{0};
   }
 
   const Program& program_;

@@ -8,19 +8,11 @@
 // (`h5dwrite_all(ds, n)` = each rank writes its n-element slab), which is
 // how the real VPIC/FLASH/HACC I/O kernels are structured.
 //
-// Builtins:
-//   I/O      h5fcreate(path) h5fopen(path) h5fclose(f)
-//            h5set_chunking(elems)  h5dcreate(f, name, elem_size, total)
-//            h5dopen(f, name) h5dclose(d)
-//            h5dwrite_all(d, per_rank) h5dread_all(d, per_rank)
-//            h5dwrite_strided(d, block, elems) h5dread_strided(...)
-//   non-HDF5 fprintf_log(path, bytes)            (incidental logging)
-//   compute  compute(seconds)
-//   MPI      mpi_size() mpi_barrier()
-//   tuning   tuned_stripe_count() tuned_stripe_size_kib() tuned_cb_nodes()
-//            (reading these makes the kernel settings-dependent, which
-//            disqualifies it from the record/replay fast path)
-//   misc     min(a,b) max(a,b) reduced_iters(n, divisor)
+// The builtins, with their parameters and arities, are the table in
+// minic/builtins.cpp. A function the program defines shadows the builtin
+// of that name. Reading a tuned_* builtin makes the kernel
+// settings-dependent, which disqualifies it from the record/replay fast
+// path.
 //
 // A program's path `p` names the simulator file `wl::run_path(p)`. Paths
 // beginning with discovery::kMemoryPathPrefix ("/shm") land on the

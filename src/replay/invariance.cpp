@@ -7,6 +7,7 @@
 
 #include "analysis/cost_model.hpp"
 #include "analysis/slicer.hpp"
+#include "minic/builtins.hpp"
 #include "obs/metrics.hpp"
 
 namespace tunio::replay {
@@ -19,7 +20,7 @@ const std::vector<std::string> kOpEmittingPrefixes = {
 
 bool has_tuned_call(const minic::Expr& expr) {
   if (expr.kind == minic::ExprKind::kCall &&
-      expr.text.rfind(kTunedPrefix, 0) == 0) {
+      expr.text.starts_with(minic::kTunedPrefix)) {
     return true;
   }
   for (const minic::ExprPtr& child : expr.children) {

@@ -40,10 +40,6 @@
 
 namespace tunio::replay {
 
-/// Builtin-name prefix whose results expose resolved stack settings to
-/// mini-C programs (tuned_stripe_count, tuned_stripe_size_kib, ...).
-inline constexpr const char* kTunedPrefix = "tuned_";
-
 /// Verdict of the replay-eligibility gate, with enough detail for
 /// DriveResult to explain *why* a program fell back to interpretation.
 struct InvarianceReport {

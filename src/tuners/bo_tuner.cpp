@@ -162,14 +162,16 @@ double expected_improvement(double mean, double stddev, double best,
 
 }  // namespace
 
-BoTuner::BoTuner(const cfg::ConfigSpace& space, BoOptions options)
-    : TunerBase("bo", space), options_(options), rng_(options.seed) {
-  TUNIO_CHECK_MSG(options_.batch > 0, "BO batch must be positive");
-  TUNIO_CHECK_MSG(options_.initial_design > 0, "BO needs a warmup design");
-  if (options_.seed_indices.has_value()) {
-    TUNIO_CHECK_MSG(options_.seed_indices->size() == space.num_parameters(),
+BoTuner::BoTuner(const cfg::ConfigSpace& space, const TunerSpec& spec)
+    : TunerBase("bo", space),
+      batch_(spec.batch),
+      max_iterations_(spec.max_iterations),
+      rng_(spec.seed) {
+  TUNIO_CHECK_MSG(batch_ > 0, "BO batch must be positive");
+  if (spec.seed_indices.has_value()) {
+    TUNIO_CHECK_MSG(spec.seed_indices->size() == space.num_parameters(),
                     "seed configuration arity mismatch");
-    incumbent_ = *options_.seed_indices;
+    incumbent_ = *spec.seed_indices;
   } else {
     incumbent_ = space.default_configuration().indices();
   }
@@ -228,9 +230,9 @@ std::vector<cfg::Configuration> BoTuner::next_batch() {
   if (iteration() == 0) {
     // Warmup design: the starting point plus seeded explorers.
     take(incumbent_);
+    const unsigned warmup = std::max(batch_, 2u);
     unsigned attempts = 0;
-    while (batch.size() < options_.initial_design &&
-           attempts < options_.initial_design * 20) {
+    while (batch.size() < warmup && attempts < warmup * 20) {
       const std::vector<std::size_t> candidate = random_indices();
       if (is_new(candidate)) take(candidate);
       ++attempts;
@@ -243,7 +245,7 @@ std::vector<cfg::Configuration> BoTuner::next_batch() {
   // of proposing the acquisition argmax `batch` times.
   std::vector<std::vector<double>> xs = xs_;
   std::vector<double> ys = ys_;
-  for (unsigned slot = 0; slot < options_.batch; ++slot) {
+  for (unsigned slot = 0; slot < batch_; ++slot) {
     const Gp gp(xs, ys);
     const double best = *std::max_element(ys.begin(), ys.end());
 
@@ -310,7 +312,7 @@ void BoTuner::absorb(const std::vector<cfg::Configuration>& batch,
     xs_ = std::move(xs);
     ys_ = std::move(ys);
   }
-  if (iteration() + 1 >= options_.max_iterations) set_done();
+  if (iteration() + 1 >= max_iterations_) set_done();
 }
 
 }  // namespace tunio::tuners

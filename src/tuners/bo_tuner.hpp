@@ -17,30 +17,20 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "tuners/registry.hpp"
 #include "tuners/tuner_base.hpp"
 
 namespace tunio::tuners {
 
-struct BoOptions {
-  /// Proposals per iteration (sized to the evaluation engine's width).
-  unsigned batch = 8;
-  /// Seeded warmup configurations (defaults + explorers) before the
-  /// surrogate takes over.
-  unsigned initial_design = 8;
-  /// Iteration horizon (the driver's budget usually stops earlier).
-  unsigned max_iterations = 50;
-  std::uint64_t seed = 0xB0'5EED;
-  /// Optional starting configuration (domain indices); defaults start.
-  std::optional<std::vector<std::size_t>> seed_indices;
-};
-
 class BoTuner final : public TunerBase {
  public:
-  BoTuner(const cfg::ConfigSpace& space, BoOptions options = {});
+  /// Reads `seed`, `batch`, `max_iterations` and `seed_indices`. The
+  /// seeded warmup (the starting point plus explorers) is max(batch, 2)
+  /// configurations before the surrogate takes over.
+  BoTuner(const cfg::ConfigSpace& space, const TunerSpec& spec);
 
   /// Observations absorbed so far (for tests).
   std::size_t observations() const { return xs_.size(); }
@@ -55,7 +45,8 @@ class BoTuner final : public TunerBase {
   std::vector<std::size_t> random_indices();
   std::vector<std::size_t> mutated_incumbent();
 
-  BoOptions options_;
+  unsigned batch_;
+  unsigned max_iterations_;
   Rng rng_;
   std::vector<std::size_t> incumbent_;  ///< best genome observed
   /// Observed data set (encoded points / raw perf).

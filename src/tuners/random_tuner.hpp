@@ -7,27 +7,18 @@
 // best-bandwidth-per-evaluation; see bench/tuner_tournament.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "tuners/registry.hpp"
 #include "tuners/tuner_base.hpp"
 
 namespace tunio::tuners {
 
-struct RandomOptions {
-  unsigned batch = 8;
-  /// Iteration horizon (the driver's budget usually stops earlier).
-  unsigned max_iterations = 50;
-  std::uint64_t seed = 0x5EED'0DD5;
-  /// Optional starting configuration (domain indices); defaults start.
-  std::optional<std::vector<std::size_t>> seed_indices;
-};
-
 class RandomTuner final : public TunerBase {
  public:
-  RandomTuner(const cfg::ConfigSpace& space, RandomOptions options = {});
+  /// Reads `seed`, `batch`, `max_iterations` and `seed_indices`.
+  RandomTuner(const cfg::ConfigSpace& space, const TunerSpec& spec);
 
  protected:
   std::vector<cfg::Configuration> next_batch() override;
@@ -35,7 +26,9 @@ class RandomTuner final : public TunerBase {
               const std::vector<tuner::Evaluation>& evals) override;
 
  private:
-  RandomOptions options_;
+  unsigned batch_;
+  unsigned max_iterations_;
+  std::vector<std::size_t> start_;  ///< leads the first batch
   Rng rng_;
 };
 

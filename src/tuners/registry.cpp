@@ -42,30 +42,9 @@ std::unique_ptr<Tuner> make_tuner(const std::string& name,
     if (spec.seed_indices.has_value()) options.seed_indices = spec.seed_indices;
     return std::make_unique<GaTunerAdapter>(space, objective, options);
   }
-  if (name == "bo") {
-    BoOptions options;
-    options.seed = spec.seed;
-    options.batch = spec.batch;
-    options.initial_design = std::max(spec.batch, 2u);
-    options.max_iterations = spec.max_iterations;
-    options.seed_indices = spec.seed_indices;
-    return std::make_unique<BoTuner>(space, options);
-  }
-  if (name == "rule") {
-    RuleOptions options;
-    options.hints = spec.hints;
-    options.impact = spec.impact;
-    options.seed_indices = spec.seed_indices;
-    return std::make_unique<RuleTuner>(space, options);
-  }
-  if (name == "random") {
-    RandomOptions options;
-    options.seed = spec.seed;
-    options.batch = spec.batch;
-    options.max_iterations = spec.max_iterations;
-    options.seed_indices = spec.seed_indices;
-    return std::make_unique<RandomTuner>(space, options);
-  }
+  if (name == "bo") return std::make_unique<BoTuner>(space, spec);
+  if (name == "rule") return std::make_unique<RuleTuner>(space, spec);
+  if (name == "random") return std::make_unique<RandomTuner>(space, spec);
   throw InvalidArgument("unknown tuner backend '" + name +
                         "' (known: ga, bo, rule, random)");
 }

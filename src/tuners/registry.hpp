@@ -5,6 +5,9 @@
 // backend-specific extras (GA options, linter hints, impact scores), so
 // callers — the pipeline, the tuning service, the tournament bench —
 // select a search strategy with a string and stay agnostic of its type.
+// The bo, rule and random backends are constructed from the spec itself
+// and read only the fields they use; the GA adapter takes `GaOptions`
+// with the shared fields copied in.
 #pragma once
 
 #include <memory>
@@ -19,8 +22,9 @@ namespace tunio::tuners {
 
 struct TunerSpec {
   std::uint64_t seed = 0x5EED;
-  /// Proposal batch width for the batched backends (bo/random). The GA's
-  /// batch is its population (see `ga.population`).
+  /// Proposal batch width for the batched backends (bo/random; bo's
+  /// warmup is max(batch, 2)). The GA's batch is its population (see
+  /// `ga.population`).
   unsigned batch = 8;
   /// Backend iteration horizon; the driver's budget usually stops
   /// earlier. Applied as `max_generations` for the GA.

@@ -15,16 +15,16 @@ constexpr unsigned kMaxPasses = 4;
 
 }  // namespace
 
-RuleTuner::RuleTuner(const cfg::ConfigSpace& space, RuleOptions options)
-    : TunerBase("rule", space), options_(std::move(options)) {
+RuleTuner::RuleTuner(const cfg::ConfigSpace& space, const TunerSpec& spec)
+    : TunerBase("rule", space) {
   const std::size_t dim = space.num_parameters();
-  TUNIO_CHECK_MSG(options_.impact.empty() || options_.impact.size() == dim,
+  TUNIO_CHECK_MSG(spec.impact.empty() || spec.impact.size() == dim,
                   "impact vector arity mismatch");
 
-  if (options_.seed_indices.has_value()) {
-    TUNIO_CHECK_MSG(options_.seed_indices->size() == dim,
+  if (spec.seed_indices.has_value()) {
+    TUNIO_CHECK_MSG(spec.seed_indices->size() == dim,
                     "seed configuration arity mismatch");
-    current_ = *options_.seed_indices;
+    current_ = *spec.seed_indices;
   } else {
     current_ = space.default_configuration().indices();
   }
@@ -32,8 +32,8 @@ RuleTuner::RuleTuner(const cfg::ConfigSpace& space, RuleOptions options)
   // Priority = impact * (1 + hint weight); unknown hint names are
   // ignored so lint output for a different stack degrades gracefully.
   std::vector<double> priority(dim, 1.0);
-  if (!options_.impact.empty()) priority = options_.impact;
-  for (const auto& [name, weight] : options_.hints) {
+  if (!spec.impact.empty()) priority = spec.impact;
+  for (const auto& [name, weight] : spec.hints) {
     if (space.has(name)) priority[space.index_of(name)] *= 1.0 + weight;
   }
   for (std::size_t p = 0; p < dim; ++p) {

@@ -13,31 +13,23 @@
 // tournament.
 #pragma once
 
-#include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
+#include "tuners/registry.hpp"
 #include "tuners/tuner_base.hpp"
 
 namespace tunio::tuners {
 
-struct RuleOptions {
-  /// (parameter name, weight) pairs, e.g. `LintReport::tuning_hints()`.
-  /// Names unknown to the space are ignored.
-  std::vector<std::pair<std::string, double>> hints;
-  /// Per-parameter impact scores (e.g. `SmartConfigGen::impact_scores`);
-  /// empty = uniform. Priority is impact * (1 + hint weight).
-  std::vector<double> impact;
-  /// Optional starting configuration (domain indices); defaults start.
-  std::optional<std::vector<std::size_t>> seed_indices;
-};
-
 class RuleTuner final : public TunerBase {
  public:
-  RuleTuner(const cfg::ConfigSpace& space, RuleOptions options = {});
+  /// Reads `hints` ((parameter name, weight) pairs, e.g.
+  /// `LintReport::tuning_hints()`; names unknown to the space are
+  /// ignored), `impact` (per-parameter scores, e.g.
+  /// `SmartConfigGen::impact_scores`; empty = uniform) and
+  /// `seed_indices`. A parameter's priority is impact * (1 + hint weight).
+  RuleTuner(const cfg::ConfigSpace& space, const TunerSpec& spec);
 
-  /// The parameter sweep order the options produced (for tests).
+  /// The parameter sweep order the spec produced (for tests).
   const std::vector<std::size_t>& sweep_order() const { return order_; }
 
  protected:
@@ -52,7 +44,6 @@ class RuleTuner final : public TunerBase {
   /// finishes the search.
   void advance();
 
-  RuleOptions options_;
   std::vector<std::size_t> order_;  ///< params by descending priority
   std::vector<std::size_t> current_;
   double current_perf_ = -1.0;

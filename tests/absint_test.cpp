@@ -482,6 +482,39 @@ TEST(DifferentialOracle, Bdcats) {
   expect_cost_contains_measurement(wl::sources::bdcats());
 }
 
+// Every op-emitting builtin at least once, with min/max/reduced_iters in
+// the sizes and trip counts: the workload sources never call h5dopen,
+// h5dread_strided, mpi_barrier, compute, min, max or reduced_iters. The
+// transfers go through h5dcreate's handle, whose element size is known,
+// so every predicted volume is exact.
+TEST(DifferentialOracle, EveryOpEmittingBuiltin) {
+  expect_cost_contains_measurement(R"(
+    int main()
+    {
+      int n = mpi_size();
+      int f = h5fcreate("/scratch/every_builtin.h5");
+      h5set_chunking(4096);
+      int d = h5dcreate(f, "x", 8, 1048576);
+      h5dwrite_all(d, min(65536, 1048576 / n));
+      for (int i = 0; i < reduced_iters(8, 2); i = i + 1)
+      {
+        h5dwrite_strided(d, i, 1024);
+        h5dread_strided(d, 3, max(512, 1024));
+        compute(0.001);
+        mpi_barrier();
+      }
+      h5dread_all(d, 4096);
+      h5dclose(h5dopen(f, "x"));
+      h5dclose(d);
+      h5fclose(f);
+      int g = h5fopen("/scratch/every_builtin_log.h5");
+      h5fclose(g);
+      fprintf_log("/scratch/every_builtin.log", 256);
+      return 0;
+    }
+  )");
+}
+
 // The seeds' loops are structurally bounded for-loops, so the model
 // should produce *finite* transfer predictions, not just sound ones.
 TEST(DifferentialOracle, SeedPredictionsAreBounded) {

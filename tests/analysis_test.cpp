@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "analysis/cfg.hpp"
@@ -17,8 +19,10 @@
 #include "common/error.hpp"
 #include "config/space.hpp"
 #include "core/smart_config.hpp"
+#include "interp/interp.hpp"
 #include "minic/parser.hpp"
 #include "minic/printer.hpp"
+#include "workloads/ops.hpp"
 #include "workloads/sources.hpp"
 
 namespace tunio::analysis {
@@ -664,6 +668,41 @@ TEST(Lint, WorkloadSourceReportsArePinned) {
     }
   }
   EXPECT_EQ(hash, 0x4054927A35451283ull);
+}
+
+// --- builtin resolution ----------------------------------------------------
+
+// A function the program defines shadows the builtin of that name in the
+// interpreter, the cost model and the linter alike: the loop calls the
+// program's own h5fcreate, so it creates no file and issues no op.
+TEST(Builtins, ProgramFunctionShadowsBuiltinEverywhere) {
+  std::ifstream in(std::string(TUNIO_TEST_DATA_DIR) +
+                   "/lint_shadowed_builtin.mc");
+  ASSERT_TRUE(in) << "missing lint_shadowed_builtin.mc";
+  std::stringstream text;
+  text << in.rdbuf();
+  const minic::Program program = parse(text.str());
+
+  mpisim::MpiSim mpi(4);
+  pfs::PfsSimulator fs;
+  const interp::InterpResult run =
+      interp::execute(program, mpi, fs, cfg::default_settings());
+  EXPECT_EQ(run.exit_code, 0);
+  EXPECT_FALSE(fs.find_file(wl::run_path("/scratch/out.h5")).has_value());
+  EXPECT_EQ(run.perf.counters.metadata_ops, 0u);
+  EXPECT_EQ(fs.counters().metadata_ops, 0u);
+
+  const ProgramCost cost = predict_cost(program);
+  ASSERT_TRUE(cost.analyzable) << cost.failure;
+  EXPECT_TRUE(cost.sites.empty());
+  EXPECT_EQ(cost.file_opens, Interval::constant(0));
+  EXPECT_EQ(cost.write_ops, Interval::constant(0));
+  EXPECT_EQ(cost.read_ops, Interval::constant(0));
+
+  const LintReport report = lint(program);
+  EXPECT_EQ(report.count(LintKind::kOpenCloseInLoop), 0u);
+  EXPECT_EQ(report.count(LintKind::kCreateOverwriteInLoop), 0u);
+  EXPECT_FALSE(report.has_errors());
 }
 
 // --- hints -> Smart Configuration Generation -------------------------------

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "config/stack_settings.hpp"
 #include "interp/interp.hpp"
+#include "minic/builtins.hpp"
 #include "minic/parser.hpp"
 #include "workloads/ops.hpp"
 
@@ -224,6 +225,25 @@ TEST(Interp, DoubleToIntOutsideRangeIsAnError) {
   EXPECT_EQ(run("int main() { double d = 9223372036854774784.0; return d; }")
                 .exit_code,
             9223372036854774784);
+}
+
+// The arity check is driven by the builtin table: one argument too many
+// names the builtin and its argument count, at the call's line.
+TEST(Interp, EveryBuiltinRejectsAnExtraArgument) {
+  for (const minic::BuiltinInfo& row : minic::builtin_table()) {
+    const std::string name(row.name);
+    std::string args = "0";
+    for (std::size_t i = 0; i < row.arity; ++i) args += ", 0";
+    try {
+      run("int main()\n{\n  int x = 1;\n  " + name + "(" + args +
+          ");\n  return 0;\n}");
+      ADD_FAILURE() << name << " accepted " << row.arity + 1 << " arguments";
+    } catch (const SourceError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "minic runtime error at line 4: " + name + " expects " +
+                    std::to_string(row.arity) + " argument(s)");
+    }
+  }
 }
 
 TEST(Interp, LoopIterationGuard) {

@@ -382,15 +382,16 @@ TEST(BoTuner, MoreSampleEfficientThanRandomOnSyntheticObjective) {
 
 TEST(BoTuner, DeterministicAcrossIdenticalDrives) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
-  BoOptions options;
-  options.max_iterations = 5;
+  TunerSpec spec;
+  spec.seed = 0xB0'5EED;
+  spec.max_iterations = 5;
 
   SyntheticObjective a_objective;
-  BoTuner a(space, options);
+  BoTuner a(space, spec);
   const DriveResult run_a = drive(a, a_objective);
 
   SyntheticObjective b_objective;
-  BoTuner b(space, options);
+  BoTuner b(space, spec);
   const DriveResult run_b = drive(b, b_objective);
 
   expect_identical_results(run_a.tuning, run_b.tuning);
@@ -399,11 +400,12 @@ TEST(BoTuner, DeterministicAcrossIdenticalDrives) {
 
 TEST(BoTuner, WarmupLeadsWithSeedConfiguration) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
-  BoOptions options;
+  TunerSpec spec;
+  spec.seed = 0xB0'5EED;
   std::vector<std::size_t> seed(space.num_parameters(), 0);
   seed[0] = 1;
-  options.seed_indices = seed;
-  BoTuner bo(space, options);
+  spec.seed_indices = seed;
+  BoTuner bo(space, spec);
   const std::vector<cfg::Configuration> warmup = bo.propose();
   ASSERT_FALSE(warmup.empty());
   EXPECT_EQ(warmup.front().indices(), seed);
@@ -411,19 +413,19 @@ TEST(BoTuner, WarmupLeadsWithSeedConfiguration) {
 
 TEST(RuleTuner, HintedParameterIsSweptFirst) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
-  RuleOptions options;
-  options.hints = {{"striping_factor", 1.0}};
-  RuleTuner rule(space, options);
+  TunerSpec spec;
+  spec.hints = {{"striping_factor", 1.0}};
+  RuleTuner rule(space, spec);
   ASSERT_FALSE(rule.sweep_order().empty());
   EXPECT_EQ(rule.sweep_order().front(), space.index_of("striping_factor"));
 }
 
 TEST(RuleTuner, ConvergesToSyntheticOptimumAndStops) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
-  RuleOptions options;
-  options.hints = {{"striping_factor", 1.0}, {"coll_metadata_write", 0.5}};
+  TunerSpec spec;
+  spec.hints = {{"striping_factor", 1.0}, {"coll_metadata_write", 0.5}};
   SyntheticObjective objective;
-  RuleTuner rule(space, options);
+  RuleTuner rule(space, spec);
   const DriveResult run = drive(rule, objective);
 
   // Coordinate descent on a separable objective finds the exact optimum
@@ -472,10 +474,11 @@ TEST(Registry, BuildsEveryRegisteredBackend) {
 TEST(Driver, BudgetStopsAtIterationBoundary) {
   const cfg::ConfigSpace space = cfg::ConfigSpace::tunio12();
   SyntheticObjective objective;
-  RandomOptions options;
-  options.batch = 4;
-  options.max_iterations = 100;
-  RandomTuner random(space, options);
+  TunerSpec spec;
+  spec.seed = 0x5EED'0DD5;
+  spec.batch = 4;
+  spec.max_iterations = 100;
+  RandomTuner random(space, spec);
   DriveOptions drive_options;
   // Each batch bills 4 * 30s; the budget covers exactly 3 iterations.
   drive_options.budget_seconds = 3 * 4 * 30.0;
